@@ -106,7 +106,7 @@ struct FramePathResult {
 };
 
 // One producer==consumer thread pumps Int64 records through
-// appender -> subscriber ring -> batched drain (the steady-state frame
+// appender -> subscriber queue -> batched drain (the steady-state frame
 // path), counting this thread's heap traffic with the interposer. The
 // unpooled row rebuilds every frame and record vector from the heap; the
 // pooled row recycles both, so its warm cost is the zero-allocation
@@ -223,7 +223,7 @@ int Main(int argc, char** argv) {
     RunFramePath(false, frame_records);  // warm-up (allocator state)
     unpooled = RunFramePath(false, frame_records);
     pooled_fp = RunFramePath(true, frame_records);
-    std::printf("\nframe path (appender -> subscriber ring -> drain), "
+    std::printf("\nframe path (appender -> subscriber queue -> drain), "
                 "%zu records:\n", frame_records);
     std::printf("%-10s %14s %16s %16s\n", "mode", "records/s",
                 "allocs/record", "bytes/record");

@@ -8,10 +8,9 @@
 #               tests (SKIP when clang++ is not installed)
 #   analyze-ast whole-program static analyzer (tools/analyze): lock graph,
 #               blocking-under-lock, hot-path allocation, MEM-ORDER, plus
-#               its fixture self-tests. Uses libclang when python3-clang
-#               (pin: python3-clang-14 / libclang-14) is importable, else
-#               the built-in token frontend — so it only SKIPs when
-#               python3 itself is missing
+#               its fixture self-tests. Reads the source with its own
+#               token frontend, so it only SKIPs when python3 itself is
+#               missing
 #   asan-ubsan  AddressSanitizer+UBSan build, full ctest (includes the
 #               `sanitizer`-labeled chaos soak)
 #   tsan-chaos  ThreadSanitizer build, concurrency-heavy suites

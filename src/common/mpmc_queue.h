@@ -1,6 +1,7 @@
-// Lock-free data plane: bounded MPMC frame rings for the hot hand-off
-// paths (task pump, joint -> subscriber), plus the parking layer that
-// lets consumers block when idle instead of spinning.
+// Lock-free data plane: the bounded MPMC frame ring for the task pump's
+// hot hand-off, the copy-on-write snapshot slot behind the joint's
+// fan-out, plus the parking layer that lets consumers block when idle
+// instead of spinning.
 //
 // Three components:
 //
@@ -20,10 +21,12 @@
 //     BlockingQueue's batching semantics so the pump-side "one wakeup
 //     drains everything" speedup carries over.
 //
-//   * OverwriteQueue<T> — a lossy newest-wins adapter over MpmcQueue for
-//     Discard-policy feeds and telemetry-grade streams: a full ring
-//     displaces the OLDEST element (handed back to the caller so owned
-//     resources can be released) instead of blocking the producer.
+//   * SnapshotPtr<T> — an atomic publication slot for immutable
+//     copy-on-write snapshots (the joint's routing table).
+//
+// The joint -> subscriber hand-off does not use these: a subscriber
+// queue applies its ingestion policy under its own mutex on every frame
+// anyway, so it keeps a plain FIFO under that mutex (feeds/subscriber.h).
 //
 // Slot sequence protocol (the memory-ordering argument, also in
 // DESIGN.md): slot i stores seq. Initially seq = i. Invariants:
@@ -47,7 +50,7 @@
 // so every (ticket, slot) pairing is unique: ABA cannot occur within
 // 2^64 operations.
 //
-// Rank exemption: MpmcQueue/OverwriteQueue themselves carry NO LockRank —
+// Rank exemption: MpmcQueue and SnapshotPtr themselves carry NO LockRank —
 // there is nothing to rank; the fast path performs no acquisition the
 // deadlock detector could order. The parking mutex inside EventCount is
 // ranked kQueueParking (the lowest rank in the table) so the slow path
@@ -693,83 +696,6 @@ class MpmcQueue {
   alignas(64) Atomic<bool> closed_{false};
   EventCount not_empty_;
   EventCount not_full_;
-};
-
-/// Lossy newest-wins ring over MpmcQueue: a full ring displaces the
-/// OLDEST queued element instead of rejecting the newest or blocking the
-/// producer. For Discard-policy feeds and monitoring streams where a
-/// stalled consumer must never wedge the producer and the freshest data
-/// is the valuable data.
-template <typename T>
-class OverwriteQueue {
- public:
-  explicit OverwriteQueue(size_t capacity) : ring_(capacity) {}
-
-  size_t capacity() const { return ring_.capacity(); }
-  size_t size() const { return ring_.size(); }
-  bool closed() const { return ring_.closed(); }
-
-  /// Number of elements displaced by Push since construction.
-  int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// Never blocks and never fails while open: displaces the oldest
-  /// element when full. If `displaced` is non-null the first victim is
-  /// moved into it so the caller can release owned resources. Returns
-  /// false only when the queue is closed (the item is dropped).
-  bool Push(T item, std::optional<T>* displaced = nullptr) {
-    if (displaced != nullptr) displaced->reset();
-    for (;;) {
-      if (ring_.closed()) return false;
-      if (ring_.TryPushFrom(item)) return true;
-      std::optional<T> victim = ring_.TryPop();
-      if (victim.has_value()) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (displaced != nullptr && !displaced->has_value()) {
-          *displaced = std::move(victim);
-        }
-        // Else: victim destroyed here; the caller did not want it.
-      } else {
-        // Push failed AND nothing was displaceable: a peer claimed a
-        // slot (CAS won) but has not finished its copy, so the ring
-        // looks full to the pusher and empty to the displacer at once.
-        // Only that peer's progress unsticks us — cede the core. The
-        // model checker found the starving schedule; SpinYield is its
-        // fairness point as much as the scheduler's.
-        SpinYield();
-      }
-      // Retry: between our pop and push another producer may have taken
-      // the freed slot; the loop converges once stalled peers run.
-    }
-  }
-
-  /// Plain bounded push (no displacement): false when full or closed.
-  /// Callers that want lossless-until-full behaviour with their own
-  /// overflow handling (the subscriber queue's non-Discard modes) use
-  /// these; Discard-mode callers use Push. TryPushFrom leaves `item`
-  /// intact on failure.
-  bool TryPush(T item) { return ring_.TryPushFrom(item); }
-  bool TryPushFrom(T& item) { return ring_.TryPushFrom(item); }
-
-  bool empty() const { return ring_.empty(); }
-
-  std::optional<T> TryPop() { return ring_.TryPop(); }
-  std::optional<T> PopFor(std::chrono::milliseconds timeout) {
-    return ring_.PopFor(timeout);
-  }
-  std::vector<T> PopAllBounded(size_t max) {
-    return ring_.PopAllBounded(max);
-  }
-  size_t PopAllBoundedInto(std::vector<T>* out, size_t max) {
-    return ring_.PopAllBoundedInto(out, max);
-  }
-  std::vector<T> TryPopAll() { return ring_.TryPopAll(); }
-  void Close() { ring_.Close(); }
-
- private:
-  MpmcQueue<T> ring_;
-  Atomic<int64_t> dropped_{0};
 };
 
 }  // namespace common

@@ -288,7 +288,8 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
 
     if (queue_->failed()) return queue_->failure();
 
-    // Batched hand-off: one lock acquisition drains everything queued.
+    // Batched hand-off: one acquisition of the subscriber queue's mutex
+    // drains every queued frame.
     std::vector<FramePtr> batch = queue_->NextBatch(/*timeout_ms=*/20);
     if (!batch.empty()) {
       for (FramePtr& frame : batch) {

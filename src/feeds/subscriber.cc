@@ -17,6 +17,12 @@ namespace feeds {
 using common::Status;
 using hyracks::FramePtr;
 
+namespace {
+// Seed of the sampling RNG (Throttle mode and the spill-overflow
+// throttle), fixed so a queue's sampling is reproducible.
+constexpr uint64_t kSampleSeed = 17;
+}  // namespace
+
 void DataBucket::Consume() {
   if (pending_.fetch_sub(1) == 1) {
     pool_->Return(this);
@@ -56,7 +62,7 @@ void DataBucketPool::Return(DataBucket* bucket) {
   free_.push_back(bucket);
 }
 
-SubscriberQueue::SubscriberQueue(SubscriberOptions options, uint64_t seed)
+SubscriberQueue::SubscriberQueue(SubscriberOptions options)
     : options_(std::move(options)),
       mem_pool_(options_.memory_pool != nullptr
                     ? options_.memory_pool
@@ -66,32 +72,31 @@ SubscriberQueue::SubscriberQueue(SubscriberOptions options, uint64_t seed)
                       ? options_.spill_pool
                       : common::MemGovernor::Default().GetPool(
                             common::MemGovernor::kSpillPool)),
-      ring_(options_.ring_frames),
-      rng_(seed) {
+      rng_(kSampleSeed) {
   spill_path_ = options_.spill_dir + "/" + options_.name + "." +
                 std::to_string(common::NowMicros()) + ".spill";
 }
 
 SubscriberQueue::~SubscriberQueue() {
   // No concurrent producers/consumers by now (shared_ptr ownership).
+  std::vector<Entry> leftover;
+  size_t head = 0;
+  {
+    common::MutexLock lock(mutex_);
+    leftover.swap(fifo_);
+    head = head_;
+    if (spill_file_ != nullptr) {
+      std::fclose(spill_file_);
+      std::remove(spill_path_.c_str());
+    }
+    if (spill_pool_ != nullptr && spill_charged_ > 0) {
+      spill_pool_->Release(static_cast<size_t>(spill_charged_));
+      spill_charged_ = 0;
+    }
+  }
   // RetireEntry (not a bare bucket Consume) so the governor charge for
   // every still-buffered frame is returned.
-  for (Entry& e : ring_.TryPopAll()) {
-    RetireEntry(e);
-  }
-  common::MutexLock lock(mutex_);
-  for (Entry& e : overflow_) {
-    RetireEntry(e);
-  }
-  overflow_.clear();
-  if (spill_file_ != nullptr) {
-    std::fclose(spill_file_);
-    std::remove(spill_path_.c_str());
-  }
-  if (spill_pool_ != nullptr && spill_charged_ > 0) {
-    spill_pool_->Release(static_cast<size_t>(spill_charged_));
-    spill_charged_ = 0;
-  }
+  for (size_t i = head; i < leftover.size(); ++i) RetireEntry(leftover[i]);
 }
 
 FramePtr SubscriberQueue::SampleFrame(const FramePtr& frame,
@@ -111,12 +116,11 @@ FramePtr SubscriberQueue::SampleFrame(const FramePtr& frame,
 void SubscriberQueue::SpillLocked(const FramePtr& frame) {
   // A prior spill I/O failure is terminal: appending after a torn record
   // would misframe everything behind it.
-  // relaxed: read under mutex_, which every failed_ writer also holds.
-  if (failed_.load(std::memory_order_relaxed)) return;
+  if (failed_) return;
   if (spill_file_ == nullptr) {
     spill_file_ = std::fopen(spill_path_.c_str(), "w+b");
     if (spill_file_ == nullptr) {
-      failed_.store(true);
+      failed_ = true;
       failure_ = Status::IOError("cannot open spill file " + spill_path_);
       return;
     }
@@ -135,14 +139,14 @@ void SubscriberQueue::SpillLocked(const FramePtr& frame) {
     // and must NOT be counted — spill_pending_frames_ only tracks
     // frames the restore path can actually read back; a ghost count
     // would make the consumer retry the restore forever.
-    failed_.store(true);
+    failed_ = true;
     if (failure_.ok()) {
       failure_ =
           Status::IOError("short write to spill file " + spill_path_);
     }
     return;
   }
-  spill_pending_frames_.fetch_add(1, std::memory_order_release);
+  ++spill_pending_frames_;
   ++stats_.frames_spilled;
   stats_.bytes_spilled += static_cast<int64_t>(payload.size());
   if (spill_pool_ != nullptr) {
@@ -157,11 +161,7 @@ void SubscriberQueue::SpillLocked(const FramePtr& frame) {
 }
 
 bool SubscriberQueue::RestoreFromSpillLocked() {
-  // relaxed: every spill-counter write happens under mutex_ (held
-  // here), so mutual exclusion already orders these reads; the release
-  // on the writes exists for NextBatch's lock-free acquire probes.
-  if (spill_pending_frames_.load(std::memory_order_relaxed) == 0 ||
-      spill_file_ == nullptr) {
+  if (spill_pending_frames_ == 0 || spill_file_ == nullptr) {
     return false;
   }
   std::fflush(spill_file_);
@@ -169,9 +169,7 @@ bool SubscriberQueue::RestoreFromSpillLocked() {
   // Restore a small batch per call so memory stays bounded.
   int restored = 0;
   bool torn = false;
-  // relaxed: under mutex_ (see above).
-  while (spill_pending_frames_.load(std::memory_order_relaxed) > 0 &&
-         restored < 8) {
+  while (spill_pending_frames_ > 0 && restored < 8) {
     uint32_t len = 0;
     if (std::fread(&len, sizeof(len), 1, spill_file_) != 1) {
       torn = true;
@@ -189,50 +187,45 @@ bool SubscriberQueue::RestoreFromSpillLocked() {
       auto parsed = adm::ParseAdm(line);
       if (parsed.ok()) records.push_back(std::move(*parsed));
     }
-    spill_pending_frames_.fetch_sub(1, std::memory_order_release);
+    --spill_pending_frames_;
     ++stats_.frames_restored;
     ++restored;
     if (!records.empty()) {
       Entry entry;
       entry.frame = hyracks::MakeFrame(std::move(records));
       // relaxed: budget gauge — RMWs keep it conserved and no payload
-      // is published through it (frames travel via the ring/overflow).
+      // is published through it (frames travel via fifo_).
       pending_bytes_.fetch_add(
           static_cast<int64_t>(entry.frame->ApproxBytes()),
           std::memory_order_relaxed);
       if (mem_pool_ != nullptr) {
         // Forced: the restore path must drain the spill file even under
-        // a starved governor (a refusal here would livelock replenish);
+        // a starved governor (a refusal here would livelock the drain);
         // the overdraft is counted and visible.
         mem_pool_->ForceReserve(entry.frame->ApproxBytes());
       }
-      EnqueueEntryLocked(std::move(entry));
+      PushLocked(std::move(entry));
     }
   }
-  // relaxed: under mutex_ (see above); also applies to the log read.
-  if (torn && restored == 0 &&
-      spill_pending_frames_.load(std::memory_order_relaxed) > 0) {
+  if (torn && restored == 0 && spill_pending_frames_ > 0) {
     // The counter claims frames the file cannot yield (truncated or
     // torn by a failed write). Every write the counter accounts for
     // completed under this mutex before the increment, so no more bytes
     // can ever appear: a zero-progress pass is permanent, and leaving
-    // the count nonzero would make NextBatch's replenish path retry
-    // this restore forever. Reconcile the count and surface the I/O
-    // error as the queue's terminal state.
+    // the count nonzero would make the consumer retry this restore
+    // forever. Reconcile the count and surface the I/O error as the
+    // queue's terminal state.
     LOG_MSG(kWarn) << options_.name << ": spill file " << spill_path_
-                   << " unreadable; "
-                   // relaxed: under mutex_ (see function head).
-                   << spill_pending_frames_.load(std::memory_order_relaxed)
+                   << " unreadable; " << spill_pending_frames_
                    << " frame(s) lost";
-    failed_.store(true);
+    failed_ = true;
     if (failure_.ok()) {
       failure_ = Status::IOError("spill file truncated or unreadable: " +
                                  spill_path_);
     }
-    spill_pending_frames_.store(0, std::memory_order_release);
+    spill_pending_frames_ = 0;
   }
-  // relaxed: under mutex_ (see above).
-  if (spill_pending_frames_.load(std::memory_order_relaxed) == 0) {
+  if (spill_pending_frames_ == 0) {
     // Fully drained (or reconciled): reclaim the file so a later burst
     // starts fresh, and return its governor charge.
     std::fclose(spill_file_);
@@ -260,54 +253,38 @@ void SubscriberQueue::RetireEntry(const Entry& entry) {
   if (entry.bucket != nullptr) entry.bucket->Consume();
 }
 
-void SubscriberQueue::EnqueueEntryLocked(Entry entry) {
-  if (options_.mode == ExcessMode::kDiscard) {
-    // Newest-wins ring: a full ring displaces the OLDEST queued frame
-    // (the paper's Discard policy values fresh data; the byte-budget
-    // hysteresis in DeliverLocked is the primary drop mechanism, this is
-    // the bounded-ring backstop). The displaced frame's records count as
-    // discarded even though they were once counted delivered.
-    std::optional<Entry> displaced;
-    ring_.Push(std::move(entry), &displaced);
-    if (displaced.has_value()) {
-      stats_.records_discarded +=
-          static_cast<int64_t>(displaced->frame->record_count());
-      RetireEntry(*displaced);
-    }
-    return;
-  }
-  // Lossless modes: ring first; a full ring (or an already-backed-up
-  // overflow, to preserve FIFO) defers to the mutexed overflow deque.
-  // relaxed: overflow_count_ writes all happen under mutex_ (held
-  // here); the release on them serves NextBatch's lock-free probes.
-  if (overflow_count_.load(std::memory_order_relaxed) == 0 &&
-      ring_.TryPushFrom(entry)) {
-    return;
-  }
-  ++stats_.frames_overflowed;
-  // hot-ok: overflow branch — only reached when the ring is full; deque
-  // growth is amortized and the bytes are already governor-charged.
-  overflow_.push_back(std::move(entry));
-  overflow_count_.fetch_add(1, std::memory_order_release);
+void SubscriberQueue::PushLocked(Entry entry) {
+  // hot-ok: fifo_ never gives back capacity (PopLocked clears or
+  // compacts it in place), so once it has held the largest backlog this
+  // push allocates nothing.
+  fifo_.push_back(std::move(entry));
 }
 
-bool SubscriberQueue::ReplenishRingLocked() {
-  bool moved = false;
-  // Overflowed entries are older than anything spilled after them; the
-  // producer never pushes to the ring while overflow_count_ > 0, so
-  // migrating front-to-back preserves FIFO.
-  while (!overflow_.empty()) {
-    if (!ring_.TryPushFrom(overflow_.front())) break;
-    overflow_.pop_front();
-    overflow_count_.fetch_sub(1, std::memory_order_release);
-    moved = true;
+void SubscriberQueue::PopLocked(std::vector<Entry>* out, size_t max_frames) {
+  // Spilled frames are newer than everything in memory, so they are
+  // restored only once the in-memory tier has drained. Each pass that
+  // returns true consumed at least one spilled frame, so this ends.
+  while (fifo_size() == 0 && spill_pending_frames_ > 0 &&
+         RestoreFromSpillLocked()) {
   }
-  // relaxed: under mutex_ (see RestoreFromSpillLocked).
-  if (overflow_.empty() && ring_.empty() &&
-      spill_pending_frames_.load(std::memory_order_relaxed) > 0) {
-    moved = RestoreFromSpillLocked() || moved;
+  const size_t n = std::min(max_frames, fifo_size());
+  for (size_t i = 0; i < n; ++i) {
+    // hot-ok: consumer-owned scratch vector (NextBatchInto's
+    // thread_local), whose capacity is kept across calls.
+    out->push_back(std::move(fifo_[head_ + i]));
   }
-  return moved;
+  head_ += n;
+  if (head_ == fifo_.size()) {
+    fifo_.clear();
+    head_ = 0;
+  } else if (head_ * 2 >= fifo_.size()) {
+    // A consumer that never fully catches up would otherwise grow fifo_
+    // without bound. Erasing the consumed prefix keeps the capacity and
+    // moves no more entries than were popped since the last compaction.
+    fifo_.erase(fifo_.begin(),
+                fifo_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 void SubscriberQueue::Deliver(FramePtr frame, DataBucket* bucket) {
@@ -330,8 +307,8 @@ void SubscriberQueue::Deliver(FramePtr frame, DataBucket* bucket) {
     common::MutexLock lock(mutex_);
     DeliverLocked(std::move(frame), bucket, traced ? &span : nullptr);
   }
-  // Wake parked consumers after unlocking (one atomic load when nobody
-  // waits). Covers data arrival AND the failure transitions below.
+  // Wake parked consumers after unlocking. Covers data arrival AND the
+  // failure transitions in DeliverLocked.
   ready_.NotifyAll();
   // Recorded after unlocking: RecordSpan takes the tracer (and possibly
   // registry) mutex, which a Snapshot() provider holds around this
@@ -353,9 +330,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       span->detail = true;  // terminal drop spans don't tile the path
     }
   };
-  // relaxed: read under mutex_, which End() holds for its store; the
-  // release there serves NextBatch's lock-free probe.
-  if (ended_.load(std::memory_order_relaxed)) {
+  if (ended_) {
     consume();
     outcome("discarded", "ended");
     return;
@@ -411,7 +386,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
     entry.frame = std::move(f);
     entry.bucket = b;
     if (span != nullptr) entry.deliver_us = common::NowMicros();
-    EnqueueEntryLocked(std::move(entry));
+    PushLocked(std::move(entry));
   };
 
   if (throttling_) {
@@ -433,7 +408,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       // feed (§4.5). Elastic buffers the same way while the system
       // re-structures the pipeline; the budget is its headroom.
       if (over_budget && options_.mode == ExcessMode::kBlock) {
-        failed_.store(true);
+        failed_ = true;
         // hot-ok: terminal failure branch — the feed is ending; the
         // status string is built once per subscriber lifetime.
         failure_ = Status::ResourceExhausted(
@@ -447,9 +422,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       return;
     }
     case ExcessMode::kSpill: {
-      // relaxed: under mutex_ (see RestoreFromSpillLocked).
-      if (over_budget ||
-          spill_pending_frames_.load(std::memory_order_relaxed) > 0) {
+      if (over_budget || spill_pending_frames_ > 0) {
         // The spill governor pool must also admit the frame (lease on
         // the in-memory estimate; SpillLocked charges the exact on-disk
         // bytes and this lease releases at scope exit). A refusal is
@@ -475,7 +448,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
               outcome("throttled", "throttled");
             }
           } else {
-            failed_.store(true);
+            failed_ = true;
             failure_ = Status::ResourceExhausted(
                 "feed '" + options_.name + "' exhausted its spill budget");
             consume();
@@ -545,7 +518,7 @@ void SubscriberQueue::DeliverEnd() {
     // Serialized with in-flight Delivers so "ended" cleanly partitions
     // the delivery order (frames after the end marker are dropped).
     common::MutexLock lock(mutex_);
-    ended_.store(true, std::memory_order_release);
+    ended_ = true;
   }
   ready_.NotifyAll();
 }
@@ -588,63 +561,20 @@ size_t SubscriberQueue::NextBatchInto(std::vector<FramePtr>* out,
   // an idle thread between calls.
   thread_local std::vector<Entry> popped;
   popped.clear();
-  for (;;) {
-    // Fast path: drain straight off the ring, no lock.
-    (void)ring_.PopAllBoundedInto(&popped, max_frames);
-    if (!popped.empty()) break;
-    // Rare paths hold data the ring does not: overflowed entries and
-    // spilled frames. Migrate under the mutex, then re-poll.
-    if (overflow_count_.load(std::memory_order_acquire) > 0 ||
-        spill_pending_frames_.load(std::memory_order_acquire) > 0) {
-      {
-        common::MutexLock lock(mutex_);
-        ReplenishRingLocked();
-      }
-      // Replenish cannot always make progress (ring still full behind a
-      // racing consumer, or a restore that just failed the queue on a
-      // bad spill file): honor the deadline on this branch too, or an
-      // I/O error becomes a busy retry loop that never times out.
-      if (std::chrono::steady_clock::now() >= deadline) {
-        (void)ring_.PopAllBoundedInto(&popped, max_frames);
-        break;
-      }
-      continue;
-    }
-    if (ended_.load(std::memory_order_acquire) || failed_.load()) {
-      // Terminal — but a frame Delivered between the empty drain above
-      // and this flag load would be stranded if that drain were trusted:
-      // the contract is empty only when ended/failed with NOTHING
-      // buffered. One last ring drain (and rare-path check) before
-      // reporting drained, mirroring MpmcQueue::Pop's closed re-check.
-      (void)ring_.PopAllBoundedInto(&popped, max_frames);
-      if (!popped.empty()) break;
-      if (overflow_count_.load(std::memory_order_acquire) > 0 ||
-          spill_pending_frames_.load(std::memory_order_acquire) > 0) {
-        continue;  // migrate the leftovers, then drain them
-      }
-      return 0;  // terminal and drained
-    }
-    // Park until a producer signals (delivery/end/failure) or timeout.
-    uint64_t epoch = ready_.PrepareWait();
-    if (!ring_.empty() ||
-        overflow_count_.load(std::memory_order_acquire) > 0 ||
-        spill_pending_frames_.load(std::memory_order_acquire) > 0 ||
-        ended_.load(std::memory_order_acquire) || failed_.load()) {
-      ready_.CancelWait();
-      continue;
-    }
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      ready_.CancelWait();
-      return 0;
-    }
-    if (!ready_.WaitFor(epoch, deadline - now)) {
-      // Timed out: one last look so a racing delivery is not stranded
-      // until the caller's next poll.
-      (void)ring_.PopAllBoundedInto(&popped, max_frames);
-      break;
+  {
+    common::MutexLock lock(mutex_);
+    for (;;) {
+      PopLocked(&popped, max_frames);
+      // Empty after PopLocked means nothing is buffered in memory or on
+      // disk, so a terminal flag now reports "drained".
+      if (!popped.empty() || ended_ || failed_) break;
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) break;
+      (void)ready_.WaitFor(mutex_, deadline - now);
     }
   }
+  // Retirement and span recording run after unlocking: Consume may take
+  // the bucket pool's lock and RecordSpan the tracer's.
   // hot-ok: consumer-owned output vector — callers reuse a thread_local
   // scratch buffer, so the reserve/push_back growth amortizes to zero.
   out->reserve(out->size() + popped.size());
@@ -675,9 +605,13 @@ size_t SubscriberQueue::NextBatchInto(std::vector<FramePtr>* out,
 }
 
 bool SubscriberQueue::ended() const {
-  return ended_.load(std::memory_order_acquire) && ring_.empty() &&
-         overflow_count_.load(std::memory_order_acquire) == 0 &&
-         spill_pending_frames_.load(std::memory_order_acquire) == 0;
+  common::MutexLock lock(mutex_);
+  return ended_ && fifo_size() == 0 && spill_pending_frames_ == 0;
+}
+
+bool SubscriberQueue::failed() const {
+  common::MutexLock lock(mutex_);
+  return failed_;
 }
 
 common::Status SubscriberQueue::failure() const {
@@ -691,11 +625,8 @@ SubscriberStats SubscriberQueue::stats() const {
 }
 
 size_t SubscriberQueue::pending_frames() const {
-  return ring_.size() +
-         static_cast<size_t>(
-             overflow_count_.load(std::memory_order_acquire)) +
-         static_cast<size_t>(
-             spill_pending_frames_.load(std::memory_order_acquire));
+  common::MutexLock lock(mutex_);
+  return fifo_size() + static_cast<size_t>(spill_pending_frames_);
 }
 
 }  // namespace feeds

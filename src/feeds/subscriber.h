@@ -4,15 +4,13 @@
 // handling (Table 4.2) is enforced: block/buffer (Basic), spill to disk
 // (Spill), drop (Discard), or sample (Throttle/Elastic-interim).
 //
-// Data-plane layout (lock-free rewire): the frame hand-off itself rides a
-// bounded lock-free ring (common::OverwriteQueue over the Vyukov
-// MpmcQueue), so the producer (joint routing thread) and the consumer
-// (intake pump) never contend on a mutex for the hot path. The policy
-// machinery — byte budget, spill/restore, sampling, discard hysteresis,
-// stats — is a thin producer-side state layer under mutex_; that mutex is
-// only ever taken by the single producer and by consumers on the *rare*
-// paths (overflow migration, spill restore, terminal states), so the
-// per-frame cost is one ring push + one ring pop.
+// Layout: one in-memory FIFO of entries and, in Spill mode, one spill
+// file behind it, both guarded by the queue's mutex. The producer (joint
+// routing thread) applies the policy and appends under the mutex; the
+// consumer (intake pump) drains a whole batch per acquisition and parks
+// on a condition variable of the same mutex when the queue is empty.
+// Bucket and governor releases and trace spans for drained frames happen
+// after unlocking.
 #pragma once
 
 #include <atomic>
@@ -24,7 +22,6 @@
 #include <vector>
 
 #include "common/mem_governor.h"
-#include "common/mpmc_queue.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -86,11 +83,6 @@ struct SubscriberOptions {
   std::string spill_dir = "/tmp";
   /// Queue identity for spill file naming / logs.
   std::string name = "subscriber";
-  /// Capacity (frames, rounded up to a power of two) of the lock-free
-  /// hand-off ring. Purely mechanical: the byte budget above is the
-  /// policy bound; a full ring under budget falls back to the mutexed
-  /// overflow path (or, in Discard mode, newest-wins displacement).
-  size_t ring_frames = 4096;
   /// Governor pool charged for buffered frame bytes (the global bound
   /// over all subscribers, alongside the per-subscriber budget above).
   /// Null resolves to MemGovernor::Default()'s "frame_path" pool; a
@@ -110,8 +102,8 @@ struct SubscriberStats {
   int64_t bytes_spilled = 0;
   int64_t frames_restored = 0;
   int64_t peak_pending_bytes = 0;
-  /// Frames that missed the lock-free ring and took the mutexed
-  /// overflow path (non-Discard modes; ring sizing diagnostic).
+  /// Always 0: the queue has a single in-memory tier, so no frame takes
+  /// an overflow path. Kept because the end-to-end benchmark reports it.
   int64_t frames_overflowed = 0;
 };
 
@@ -121,7 +113,7 @@ struct SubscriberStats {
 /// the asynchrony that gives the paper's Congestion Isolation.
 class SubscriberQueue {
  public:
-  SubscriberQueue(SubscriberOptions options, uint64_t seed = 17);
+  explicit SubscriberQueue(SubscriberOptions options);
   ~SubscriberQueue();
 
   /// Keepalive for the bucket pool the queued DataBucket* point into.
@@ -144,7 +136,7 @@ class SubscriberQueue {
   std::optional<hyracks::FramePtr> Next(int64_t timeout_ms);
 
   /// Consumer side, batched: waits up to `timeout_ms` for data, then
-  /// drains up to `max_frames` queued frames (lock-free off the ring).
+  /// drains up to `max_frames` queued frames under one lock acquisition.
   /// Empty result on timeout or when the queue ended/failed with nothing
   /// buffered.
   std::vector<hyracks::FramePtr> NextBatch(int64_t timeout_ms,
@@ -160,12 +152,13 @@ class SubscriberQueue {
   bool ended() const;
   /// Set when the Basic policy exhausted its memory budget (feed must
   /// terminate) or spillage overflowed without a throttle fallback.
-  bool failed() const { return failed_.load(); }
+  bool failed() const;
   [[nodiscard]] common::Status failure() const;
 
   SubscriberStats stats() const;
   int64_t pending_bytes() const {
-    // relaxed: monitoring read of the budget gauge.
+    // relaxed: monitoring read of the budget gauge; lock-free because the
+    // feed_intake_pending_bytes provider calls it under the registry lock.
     return pending_bytes_.load(std::memory_order_relaxed);
   }
   size_t pending_frames() const;
@@ -183,20 +176,19 @@ class SubscriberQueue {
   // unlocking — RecordSpan must not run under a queue mutex.
   void DeliverLocked(hyracks::FramePtr frame, DataBucket* bucket,
                      TraceSpan* span) REQUIRES(mutex_);
-  /// Hands an entry to the consumer side: lock-free ring push first;
-  /// Discard mode displaces the oldest entry when the ring is full,
-  /// other modes fall back to the mutexed overflow deque.
-  void EnqueueEntryLocked(Entry entry) REQUIRES(mutex_);
-  /// Retires a popped/displaced/abandoned entry's bucket reference and
-  /// byte accounting.
+  /// Appends to the FIFO; its capacity survives drains (see fifo_).
+  void PushLocked(Entry entry) REQUIRES(mutex_);
+  /// Moves up to `max_frames` entries off the FIFO head into `out`,
+  /// restoring spilled frames first when the FIFO is empty.
+  void PopLocked(std::vector<Entry>* out, size_t max_frames)
+      REQUIRES(mutex_);
+  size_t fifo_size() const REQUIRES(mutex_) { return fifo_.size() - head_; }
+  /// Retires a popped/abandoned entry's bucket reference and byte
+  /// accounting. Called with no lock held.
   void RetireEntry(const Entry& entry);
   void RecordQueueSpan(const Entry& entry, int64_t pop_us) const;
   void SpillLocked(const hyracks::FramePtr& frame) REQUIRES(mutex_);
   bool RestoreFromSpillLocked() REQUIRES(mutex_);
-  /// Consumer-side slow path: migrates overflowed entries into the ring
-  /// and restores spilled frames once the ring has drained. Returns true
-  /// if it moved anything (the caller re-polls the ring).
-  bool ReplenishRingLocked() REQUIRES(mutex_);
   hyracks::FramePtr SampleFrame(const hyracks::FramePtr& frame,
                                 double keep_probability) REQUIRES(mutex_);
 
@@ -208,34 +200,24 @@ class SubscriberQueue {
   // Destroyed after the destructor body runs, so leftover buckets can
   // always be returned safely.
   std::shared_ptr<DataBucketPool> pool_keepalive_;
-  // The hot hand-off path: rank-exempt lock-free ring (see
-  // common/mpmc_queue.h). Push/displace under mutex_ (producer side),
-  // pop without any lock (consumer side).
-  common::OverwriteQueue<Entry> ring_;
-  // Parking for idle consumers; producers notify after every delivery,
-  // end, or failure.
-  common::EventCount ready_;
   mutable common::Mutex mutex_{common::LockRank::kSubscriberQueue};
-  // Counter/flag ordering protocol (model-checked invariants in
-  // tests/model/): every WRITE to the atomics below happens under
-  // mutex_ with release strength; readers holding mutex_ load relaxed
-  // (mutual exclusion already orders them), while NextBatch's lock-free
-  // probes load acquire to pair with the writers' releases.
-  // pending_bytes_ is the exception — a pure budget gauge whose RMWs
-  // conserve the sum; all its accesses are relaxed.
+  // Signalled after every delivery, end, or failure.
+  common::CondVar ready_;
+  // The in-memory tier: live entries are fifo_[head_, size). A vector
+  // with a read cursor rather than a deque, so that its capacity is kept
+  // across drains and the steady state allocates nothing; PopLocked
+  // resets it when empty and compacts a mostly-consumed prefix.
+  std::vector<Entry> fifo_ GUARDED_BY(mutex_);
+  size_t head_ GUARDED_BY(mutex_) = 0;
+  // Budget gauge of buffered frame bytes. Relaxed atomic rather than
+  // guarded: retirement runs after unlocking, and pending_bytes() is read
+  // without the lock (see there). Its RMWs conserve the sum.
   std::atomic<int64_t> pending_bytes_{0};
-  std::atomic<bool> ended_{false};
-  std::atomic<bool> failed_{false};
+  bool ended_ GUARDED_BY(mutex_) = false;
+  bool failed_ GUARDED_BY(mutex_) = false;
   common::Status failure_ GUARDED_BY(mutex_);
   SubscriberStats stats_ GUARDED_BY(mutex_);
   common::Rng rng_ GUARDED_BY(mutex_);
-
-  // Overflow: entries that missed a full ring in non-Discard modes.
-  // FIFO is preserved by construction: while overflow_count_ > 0 the
-  // producer appends here (never to the ring), and consumers migrate
-  // overflow into the ring only after the ring drained.
-  std::deque<Entry> overflow_ GUARDED_BY(mutex_);
-  std::atomic<int64_t> overflow_count_{0};
 
   // Spill state: once active, all arrivals spill until fully drained
   // (preserves record order).
@@ -244,7 +226,7 @@ class SubscriberQueue {
   /// Bytes this queue's spill file currently charges against spill_pool_
   /// (released when the drained file is reclaimed, and at destruction).
   int64_t spill_charged_ GUARDED_BY(mutex_) = 0;
-  std::atomic<int64_t> spill_pending_frames_{0};  // written under mutex_
+  int64_t spill_pending_frames_ GUARDED_BY(mutex_) = 0;
   int64_t spill_read_offset_ GUARDED_BY(mutex_) = 0;
   bool throttling_ GUARDED_BY(mutex_) = false;   // spill overflow fallback
   bool discarding_ GUARDED_BY(mutex_) = false;   // Discard hysteresis:

@@ -8,8 +8,8 @@
 //     x86 mapping — the exact shape of the EventCount StoreLoad bug).
 //
 //   * Invariant tests run the repo's real primitives — EventCount,
-//     MpmcQueue, OverwriteQueue, SnapshotPtr, MemGovernor — through
-//     small bounded programs (2-3 threads, a few ops each) and assert
+//     MpmcQueue, SnapshotPtr, MemGovernor — through small bounded
+//     programs (2-3 threads, a few ops each) and assert
 //     their core guarantees over every explored interleaving:
 //     conservation, no lost wakeup, no waiter-registration leak,
 //     used() <= capacity(), snapshot monotonicity, lease/Disown charge
@@ -47,7 +47,6 @@ using common::MemGovernor;
 using common::MemLease;
 using common::MemPool;
 using common::MpmcQueue;
-using common::OverwriteQueue;
 using common::SnapshotPtr;
 
 mc::Result RunCheck(const char* name, long budget,
@@ -335,32 +334,6 @@ TEST(ModelMpmcQueue, PopForExpiredDeadlineReleasesRegistration) {
       });
   EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
   EXPECT_TRUE(res.complete);
-}
-
-// ---- OverwriteQueue --------------------------------------------------
-
-TEST(ModelOverwriteQueue, DisplacementConservesElements) {
-  mc::Result res = RunCheck(
-      "overwrite_conservation", 200000, [](mc::Execution& ex) {
-        auto q = std::make_shared<OverwriteQueue<int>>(2);
-        auto popped = std::make_shared<int>(0);
-        ex.Spawn([=] {
-          std::optional<int> displaced;
-          for (int i = 1; i <= 3; ++i) {
-            MODEL_ASSERT(q->Push(i, &displaced));
-          }
-        });
-        ex.Spawn([=] {
-          if (q->TryPop().has_value()) *popped = 1;
-        });
-        ex.Join();
-        // Everything pushed is accounted for: displaced, popped, or
-        // still queued.
-        size_t remaining = q->TryPopAll().size();
-        MODEL_ASSERT(3 == q->dropped() + *popped +
-                              static_cast<int64_t>(remaining));
-      });
-  EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
 }
 
 // ---- SnapshotPtr -----------------------------------------------------

@@ -2,10 +2,12 @@
 // models and invariants, parameterized over seeds (TEST_P sweeps).
 #include <map>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "adm/parser.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "feeds/joint.h"
 #include "feeds/subscriber.h"
@@ -174,16 +176,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AdmFuzzTest,
 
 // --- subscriber queue invariants under every mode -------------------------
 
-class QueueInvariantTest
-    : public ::testing::TestWithParam<feeds::ExcessMode> {};
+// Each mode runs twice: draining after the producer finished, and with a
+// consumer draining in batches while the producer is still delivering,
+// so spill restores, discard hysteresis and sampling interleave with
+// live arrivals.
+struct QueueCase {
+  feeds::ExcessMode mode;
+  bool concurrent_drain;
+};
+
+class QueueInvariantTest : public ::testing::TestWithParam<QueueCase> {};
 
 TEST_P(QueueInvariantTest, AccountingIsExactAndOrderPreserved) {
+  const feeds::ExcessMode mode = GetParam().mode;
   feeds::SubscriberOptions options;
-  options.mode = GetParam();
+  options.mode = mode;
   options.memory_budget_bytes = 4096;
-  options.name = std::string("invariant_") +
-                 feeds::ExcessModeName(GetParam());
+  options.name = std::string("invariant_") + feeds::ExcessModeName(mode);
   feeds::SubscriberQueue queue(options);
+
+  int64_t seen = 0;
+  int64_t last_n = -1;
+  auto consume = [&](const hyracks::FramePtr& frame) {
+    for (const Value& record : frame->records()) {
+      // Order is preserved: n strictly increases even across policy
+      // actions (spill restore, sampling, discard).
+      int64_t n = record.GetField("n")->AsInt64();
+      EXPECT_GT(n, last_n);
+      last_n = n;
+      ++seen;
+    }
+  };
+  std::thread consumer;
+  if (GetParam().concurrent_drain) {
+    consumer = std::thread([&] {
+      common::Rng rng(7);
+      for (;;) {
+        std::vector<hyracks::FramePtr> batch = queue.NextBatch(500, 4);
+        if (batch.empty()) return;
+        for (const hyracks::FramePtr& frame : batch) consume(frame);
+        // Now and then slower than the producer, so a backlog builds
+        // past the budget and the mode's excess action engages.
+        if (rng.Chance(0.3)) common::SleepMicros(200);
+      }
+    });
+  }
 
   constexpr int kFrames = 150;
   constexpr int kPerFrame = 8;
@@ -198,33 +235,29 @@ TEST_P(QueueInvariantTest, AccountingIsExactAndOrderPreserved) {
     }
     delivered_in += kPerFrame;
     queue.Deliver(hyracks::MakeFrame(std::move(records)), nullptr);
+    // Bursts of 16 frames: each overruns the budget, and a concurrent
+    // consumer is still draining (restoring) one when the next arrives.
+    if (f % 16 == 15) common::SleepMicros(200);
   }
   queue.DeliverEnd();
 
-  int64_t seen = 0;
-  int64_t last_n = -1;
-  while (auto frame = queue.Next(500)) {
-    for (const Value& record : (*frame)->records()) {
-      // Order is preserved: n strictly increases even across policy
-      // actions (spill restore, sampling, discard).
-      int64_t n = record.GetField("n")->AsInt64();
-      EXPECT_GT(n, last_n);
-      last_n = n;
-      ++seen;
-    }
+  if (consumer.joinable()) {
+    consumer.join();
+  } else {
+    while (auto frame = queue.Next(500)) consume(*frame);
   }
   auto stats = queue.stats();
   if (queue.failed()) {
     // Basic: accounting holds up to the failure point.
-    EXPECT_EQ(GetParam(), feeds::ExcessMode::kBlock);
+    EXPECT_EQ(mode, feeds::ExcessMode::kBlock);
     return;
   }
   // Conservation: in = out + discarded + sampled-away.
   EXPECT_EQ(delivered_in,
             seen + stats.records_discarded + stats.records_throttled_away)
-      << "mode " << feeds::ExcessModeName(GetParam());
+      << "mode " << feeds::ExcessModeName(mode);
   // Spill round-trips losslessly.
-  if (GetParam() == feeds::ExcessMode::kSpill) {
+  if (mode == feeds::ExcessMode::kSpill) {
     EXPECT_EQ(seen, delivered_in);
     EXPECT_EQ(stats.frames_restored, stats.frames_spilled);
   }
@@ -232,12 +265,21 @@ TEST_P(QueueInvariantTest, AccountingIsExactAndOrderPreserved) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, QueueInvariantTest,
-    ::testing::Values(feeds::ExcessMode::kBlock, feeds::ExcessMode::kSpill,
-                      feeds::ExcessMode::kDiscard,
-                      feeds::ExcessMode::kThrottle,
-                      feeds::ExcessMode::kElastic),
-    [](const ::testing::TestParamInfo<feeds::ExcessMode>& info) {
-      return feeds::ExcessModeName(info.param);
+    ::testing::ValuesIn([] {
+      std::vector<QueueCase> cases;
+      for (bool concurrent : {false, true}) {
+        for (feeds::ExcessMode mode :
+             {feeds::ExcessMode::kBlock, feeds::ExcessMode::kSpill,
+              feeds::ExcessMode::kDiscard, feeds::ExcessMode::kThrottle,
+              feeds::ExcessMode::kElastic}) {
+          cases.push_back({mode, concurrent});
+        }
+      }
+      return cases;
+    }()),
+    [](const ::testing::TestParamInfo<QueueCase>& info) {
+      return std::string(feeds::ExcessModeName(info.param.mode)) +
+             (info.param.concurrent_drain ? "_concurrent_drain" : "");
     });
 
 // --- joint delivery: every subscriber sees every frame, in order ----------

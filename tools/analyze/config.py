@@ -56,7 +56,7 @@ BLOCKING_OPS = {
 # Functions allowed to block while holding a lock: the documented
 # wait-protocol / IO-under-own-lock sites. Key: qname suffix.
 BLOCKING_ALLOWLIST = {
-    # The spill protocol serializes overflow entries to disk *under* the
+    # The spill protocol serializes excess frames to disk *under* the
     # subscriber mutex by design: spilling races Unsubscribe teardown, and
     # the mutex is rank 420 — nothing above it is ever held on this path
     # (the lock graph proves that). README "Spill-to-disk" documents the
@@ -137,8 +137,8 @@ GROWTH_CALLS = {
 # fast path.
 HOT_PRUNE = {
     "SubscriberQueue::SpillLocked":
-        "cold overflow branch: spill-to-disk only engages past the "
-        "overflow high-water mark; serialization cost is the documented "
+        "cold excess branch: spill-to-disk only engages past the "
+        "subscriber's memory budget; serialization cost is the documented "
         "backpressure trade-off",
     "SubscriberQueue::RestoreFromSpillLocked":
         "cold refill branch: only runs while a spill file exists",
@@ -201,6 +201,5 @@ SELF_SYNC_TYPES = (
     "Mutex", "CondVar", "std::thread", "std::jthread", "MetricsRegistry",
     "common::Counter", "common::Gauge", "common::Histogram",
     "Counter", "Gauge", "Histogram", "BlockingQueue", "common::BlockingQueue",
-    "MpmcQueue", "common::MpmcQueue", "OverwriteQueue",
-    "common::OverwriteQueue", "EventCount", "common::EventCount",
+    "MpmcQueue", "common::MpmcQueue", "EventCount", "common::EventCount",
 )

@@ -11,10 +11,9 @@ Turns lexed C++ (cpplex.py) into the program facts every check consumes:
   * A call-graph resolver (receiver-field typing > same-class > unique
     name), used by the held-set propagation and reachability passes
 
-The extraction is frontend-pluggable: this module is the token frontend
-(always available — it needs nothing beyond Python); clang_frontend.py
-produces the same Program shape from libclang when python3-clang is
-installed. Known over/under-approximations are documented in
+This module and cpplex.py are the analyzer's only frontend: a token-
+accurate lexer plus a structure scan, needing nothing beyond Python.
+Known over/under-approximations are documented in
 DESIGN.md §6.4 — the checks are tuned so the over-approximations land
 on the sound side for lock ordering and the allowlists absorb the rest.
 """

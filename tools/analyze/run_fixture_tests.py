@@ -10,9 +10,9 @@ Marker grammar (inside any comment in a fixture):
 `*_bad.*` fixtures must produce exactly their marked findings (exit 1);
 `*_ok.*` fixtures must be clean (exit 0). The test therefore pins both
 directions: every seeded violation is detected at the right file:line,
-and the checks stay quiet on conforming code. Fixtures run under
-whichever frontend analyze.py selects, so a frontend regression shows
-up here rather than as silent acceptance.
+and the checks stay quiet on conforming code, so a regression in the
+frontend (cpplex.py + ir.py) shows up here rather than as silent
+acceptance.
 
 Exit status: 0 all fixtures pass, 1 otherwise.
 """
@@ -50,10 +50,9 @@ def parse_findings(stdout, fixture_name):
     return sorted(got)
 
 
-def run_fixture(path, frontend):
+def run_fixture(path):
     expected, hot_roots = read_directives(path)
-    cmd = [sys.executable, str(HERE / "analyze.py"), str(path),
-           "--frontend", frontend]
+    cmd = [sys.executable, str(HERE / "analyze.py"), str(path)]
     for root in hot_roots:
         cmd += ["--hot-root", root]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -74,14 +73,13 @@ def run_fixture(path, frontend):
 
 
 def main():
-    frontend = sys.argv[1] if len(sys.argv) > 1 else "auto"
     fixtures = sorted(FIXTURES.glob("*.h"))
     if not fixtures:
         print(f"no fixtures under {FIXTURES}", file=sys.stderr)
         return 1
     failed = 0
     for path in fixtures:
-        errors, proc = run_fixture(path, frontend)
+        errors, proc = run_fixture(path)
         status = "PASS" if not errors else "FAIL"
         print(f"[{status}] {path.name}")
         if errors:
