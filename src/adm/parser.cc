@@ -1,7 +1,9 @@
 #include "adm/parser.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <string>
 
 namespace asterix {
@@ -12,247 +14,348 @@ namespace {
 using common::Result;
 using common::Status;
 
+// The six characters std::isspace accepts in the "C" locale.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// Per-thread scratch stacks. A record's fields (a list's items) are
+// parsed onto the top of its stack and moved into a vector of exactly
+// their count at the closing bracket; a nested value pushes above its
+// parent's entries and pops them before the parent continues. The stacks
+// keep their capacity across calls, so the only steady-state allocations
+// are the parsed values themselves.
+struct Scratch {
+  FieldVec fields;
+  ListVec items;
+};
+
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, Scratch* scratch)
+      : begin_(text.data()),
+        p_(text.data()),
+        end_(text.data() + text.size()),
+        scratch_(scratch) {}
 
   Result<Value> Parse() {
+    Value value;
     SkipWs();
-    auto value = ParseValue();
-    if (!value.ok()) return value;
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after value");
+    bool ok = ParseValue(&value);
+    if (ok) {
+      SkipWs();
+      if (p_ != end_) ok = Fail("trailing characters after value");
+    }
+    if (!ok) {
+      // The stacks are empty between calls, but an error leaves the
+      // entries of every open record and list on them.
+      scratch_->fields.clear();
+      scratch_->items.clear();
+      return std::move(error_);
     }
     return value;
   }
 
  private:
-  Status Error(const std::string& what) const {
-    return Status::Corruption("ADM parse error at offset " +
-                              std::to_string(pos_) + ": " + what);
+  // Records the error at the current offset; always returns false so
+  // callers can `return Fail(...)`.
+  bool Fail(const std::string& what) {
+    error_ = Status::Corruption("ADM parse error at offset " +
+                                std::to_string(p_ - begin_) + ": " + what);
+    return false;
   }
 
   void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (p_ != end_ && IsSpace(*p_)) ++p_;
   }
 
-  bool Eof() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
+  bool Eof() const { return p_ == end_; }
 
   bool Consume(char c) {
-    if (!Eof() && Peek() == c) {
-      ++pos_;
+    if (p_ != end_ && *p_ == c) {
+      ++p_;
       return true;
     }
     return false;
   }
 
   bool ConsumeWord(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
+    if (static_cast<size_t>(end_ - p_) >= word.size() &&
+        std::string_view(p_, word.size()) == word) {
+      p_ += word.size();
       return true;
     }
     return false;
   }
 
-  Result<Value> ParseValue() {
-    if (Eof()) return Error("unexpected end of input");
-    char c = Peek();
+  bool ParseValue(Value* out) {
+    if (Eof()) return Fail("unexpected end of input");
+    const char c = *p_;
     switch (c) {
       case '{':
-        return ParseRecord();
+        return ParseRecord(out);
       case '[':
-        return ParseList();
-      case '"':
-        return ParseString();
+        return ParseList(out);
+      case '"': {
+        std::string s;
+        if (!ParseRawString(&s)) return false;
+        *out = Value::String(std::move(s));
+        return true;
+      }
       case 't':
-        if (ConsumeWord("true")) return Value::Boolean(true);
-        return Error("expected 'true'");
+        if (!ConsumeWord("true")) return Fail("expected 'true'");
+        *out = Value::Boolean(true);
+        return true;
       case 'f':
-        if (ConsumeWord("false")) return Value::Boolean(false);
-        return Error("expected 'false'");
+        if (!ConsumeWord("false")) return Fail("expected 'false'");
+        *out = Value::Boolean(false);
+        return true;
       case 'n':
-        if (ConsumeWord("null")) return Value::Null();
-        return Error("expected 'null'");
+        if (ConsumeWord("null")) {
+          *out = Value::Null();
+          return true;
+        }
+        if (ConsumeWord("nan")) {
+          *out = Value::Double(std::numeric_limits<double>::quiet_NaN());
+          return true;
+        }
+        return Fail("expected 'null'");
+      case 'i':
+        if (!ConsumeWord("inf")) return Fail("unexpected character 'i'");
+        *out = Value::Double(std::numeric_limits<double>::infinity());
+        return true;
       case 'p':
-        return ParsePoint();
+        return ParsePoint(out);
       case 'd':
-        return ParseDatetime();
+        return ParseDatetime(out);
       default:
-        if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-          return ParseNumber();
-        }
-        return Error(std::string("unexpected character '") + c + "'");
+        if (c == '-' || IsDigit(c)) return ParseNumber(out);
+        return Fail(std::string("unexpected character '") + c + "'");
     }
   }
 
-  Result<Value> ParseRecord() {
-    ++pos_;  // '{'
-    FieldVec fields;
+  static Value* SlotValue(FieldVec* stack, size_t slot) {
+    return &(*stack)[slot].second;
+  }
+  static Value* SlotValue(ListVec* stack, size_t slot) {
+    return &(*stack)[slot];
+  }
+
+  // Parses the next value into the top entry of `stack`. A scalar pushes
+  // nothing onto the stacks, so it is parsed in place; a record or list
+  // may grow (and so move) the stack, so it is parsed aside and moved in.
+  template <typename Stack>
+  bool ParseIntoTop(Stack* stack) {
+    const size_t slot = stack->size() - 1;
+    if (Eof() || (*p_ != '{' && *p_ != '[')) {
+      return ParseValue(SlotValue(stack, slot));
+    }
+    Value nested;
+    if (!ParseValue(&nested)) return false;
+    *SlotValue(stack, slot) = std::move(nested);
+    return true;
+  }
+
+  // Moves the entries above `base` off the stack into a vector of exactly
+  // their count.
+  template <typename Stack>
+  static Stack PopAbove(Stack* stack, size_t base) {
+    const auto first = stack->begin() + static_cast<std::ptrdiff_t>(base);
+    Stack top(std::make_move_iterator(first),
+              std::make_move_iterator(stack->end()));
+    stack->resize(base);
+    return top;
+  }
+
+  bool ParseRecord(Value* out) {
+    ++p_;  // '{'
+    FieldVec& stack = scratch_->fields;
+    const size_t base = stack.size();
     SkipWs();
-    if (Consume('}')) return Value::Record(std::move(fields));
-    while (true) {
-      SkipWs();
-      if (Eof() || Peek() != '"') return Error("expected field name");
-      auto name = ParseRawString();
-      if (!name.ok()) return name.status();
-      SkipWs();
-      if (!Consume(':')) return Error("expected ':' after field name");
-      SkipWs();
-      auto value = ParseValue();
-      if (!value.ok()) return value;
-      fields.emplace_back(std::move(name).value(),
-                          std::move(value).value());
-      SkipWs();
-      if (Consume('}')) return Value::Record(std::move(fields));
-      if (!Consume(',')) return Error("expected ',' or '}' in record");
-    }
-  }
-
-  Result<Value> ParseList() {
-    ++pos_;  // '['
-    ListVec items;
-    SkipWs();
-    if (Consume(']')) return Value::List(std::move(items));
-    while (true) {
-      SkipWs();
-      auto value = ParseValue();
-      if (!value.ok()) return value;
-      items.push_back(std::move(value).value());
-      SkipWs();
-      if (Consume(']')) return Value::List(std::move(items));
-      if (!Consume(',')) return Error("expected ',' or ']' in list");
-    }
-  }
-
-  Result<std::string> ParseRawString() {
-    ++pos_;  // '"'
-    std::string out;
-    while (true) {
-      if (Eof()) return Error("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (Eof()) return Error("unterminated escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          default:
-            return Error(std::string("bad escape '\\") + e + "'");
-        }
-      } else {
-        out.push_back(c);
+    if (!Consume('}')) {
+      while (true) {
+        SkipWs();
+        if (Eof() || *p_ != '"') return Fail("expected field name");
+        stack.emplace_back();
+        if (!ParseRawString(&stack.back().first)) return false;
+        SkipWs();
+        if (!Consume(':')) return Fail("expected ':' after field name");
+        SkipWs();
+        if (!ParseIntoTop(&stack)) return false;
+        SkipWs();
+        if (Consume('}')) break;
+        if (!Consume(',')) return Fail("expected ',' or '}' in record");
       }
     }
+    *out = Value::Record(PopAbove(&stack, base));
+    return true;
   }
 
-  Result<Value> ParseString() {
-    auto raw = ParseRawString();
-    if (!raw.ok()) return raw.status();
-    return Value::String(std::move(raw).value());
+  bool ParseList(Value* out) {
+    ++p_;  // '['
+    ListVec& stack = scratch_->items;
+    const size_t base = stack.size();
+    SkipWs();
+    if (!Consume(']')) {
+      while (true) {
+        SkipWs();
+        stack.emplace_back();
+        if (!ParseIntoTop(&stack)) return false;
+        SkipWs();
+        if (Consume(']')) break;
+        if (!Consume(',')) return Fail("expected ',' or ']' in list");
+      }
+    }
+    *out = Value::List(PopAbove(&stack, base));
+    return true;
   }
 
-  Result<Value> ParseNumber() {
-    size_t start = pos_;
-    if (Consume('-')) {
+  // Appends each run between escapes in one call, so a string without
+  // escapes is copied once, at its exact size.
+  bool ParseRawString(std::string* out) {
+    ++p_;  // '"'
+    const char* run = p_;
+    while (true) {
+      while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
+      if (p_ == end_) return Fail("unterminated string");
+      out->append(run, p_);
+      if (*p_++ == '"') return true;
+      if (p_ == end_) return Fail("unterminated escape");
+      const char e = *p_++;
+      switch (e) {
+        case '"':
+        case '\\':
+        case '/':
+          out->push_back(e);
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        default:
+          return Fail(std::string("bad escape '\\") + e + "'");
+      }
+      run = p_;
+    }
+  }
+
+  bool ParseNumber(Value* out) {
+    const char* start = p_;
+    const bool negative = Consume('-');
+    // The serializer's spellings of non-finite doubles.
+    if (ConsumeWord("inf")) {
+      const double inf = std::numeric_limits<double>::infinity();
+      *out = Value::Double(negative ? -inf : inf);
+      return true;
+    }
+    if (ConsumeWord("nan")) {
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      *out = Value::Double(negative ? -nan : nan);
+      return true;
     }
     bool is_double = false;
-    while (!Eof()) {
-      char c = Peek();
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                 c == '-') {
-        if (c == '.' || c == 'e' || c == 'E') is_double = true;
-        // '+'/'-' only valid inside an exponent; the strtod/strtoll
-        // validation below catches misuse.
-        if (c == '+' || c == '-') {
-          char prev = text_[pos_ - 1];
-          if (prev != 'e' && prev != 'E') break;
-        }
-        ++pos_;
+    while (p_ != end_) {
+      const char c = *p_;
+      if (IsDigit(c)) {
+        ++p_;
+      } else if (c == '.' || c == 'e' || c == 'E') {
+        is_double = true;
+        ++p_;
+      } else if (c == '+' || c == '-') {
+        // Only valid inside an exponent; the conversion below catches
+        // misuse.
+        if (p_[-1] != 'e' && p_[-1] != 'E') break;
+        ++p_;
       } else {
         break;
       }
     }
-    std::string token(text_.substr(start, pos_ - start));
-    if (token.empty() || token == "-") return Error("malformed number");
-    char* end = nullptr;
+    const char* token_end = p_;
+    if (token_end == start || (token_end - start == 1 && *start == '-')) {
+      return Fail("malformed number");
+    }
+    // from_chars reads the token in place. When it does not take the
+    // whole token, or the value is out of range, strtod/strtoll decide:
+    // out-of-range values saturate (or flush to zero) rather than fail,
+    // and a malformed token is named in the error.
     if (is_double) {
-      double d = std::strtod(token.c_str(), &end);
-      if (end != token.c_str() + token.size()) {
-        return Error("malformed double '" + token + "'");
+      double d = 0;
+      const auto r = std::from_chars(start, token_end, d);
+      if (r.ec != std::errc() || r.ptr != token_end) {
+        const std::string token(start, token_end);
+        char* end = nullptr;
+        d = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size()) {
+          return Fail("malformed double '" + token + "'");
+        }
       }
-      return Value::Double(d);
+      *out = Value::Double(d);
+      return true;
     }
-    long long i = std::strtoll(token.c_str(), &end, 10);
-    if (end != token.c_str() + token.size()) {
-      return Error("malformed integer '" + token + "'");
+    int64_t i = 0;
+    const auto r = std::from_chars(start, token_end, i);
+    if (r.ec != std::errc() || r.ptr != token_end) {
+      const std::string token(start, token_end);
+      char* end = nullptr;
+      i = static_cast<int64_t>(std::strtoll(token.c_str(), &end, 10));
+      if (end != token.c_str() + token.size()) {
+        return Fail("malformed integer '" + token + "'");
+      }
     }
-    return Value::Int64(static_cast<int64_t>(i));
+    *out = Value::Int64(i);
+    return true;
   }
 
-  Result<Value> ParsePoint() {
-    if (!ConsumeWord("point")) return Error("expected 'point'");
+  bool ParsePoint(Value* out) {
+    if (!ConsumeWord("point")) return Fail("expected 'point'");
     SkipWs();
-    if (!Consume('(')) return Error("expected '(' after point");
+    if (!Consume('(')) return Fail("expected '(' after point");
     SkipWs();
-    auto x = ParseNumber();
-    if (!x.ok()) return x;
+    Value x;
+    if (!ParseNumber(&x)) return false;
     SkipWs();
-    if (!Consume(',')) return Error("expected ',' in point");
+    if (!Consume(',')) return Fail("expected ',' in point");
     SkipWs();
-    auto y = ParseNumber();
-    if (!y.ok()) return y;
+    Value y;
+    if (!ParseNumber(&y)) return false;
     SkipWs();
-    if (!Consume(')')) return Error("expected ')' after point");
-    return Value::MakePoint(x.value().AsNumber(), y.value().AsNumber());
+    if (!Consume(')')) return Fail("expected ')' after point");
+    *out = Value::MakePoint(x.AsNumber(), y.AsNumber());
+    return true;
   }
 
-  Result<Value> ParseDatetime() {
-    if (!ConsumeWord("datetime")) return Error("expected 'datetime'");
+  bool ParseDatetime(Value* out) {
+    if (!ConsumeWord("datetime")) return Fail("expected 'datetime'");
     SkipWs();
-    if (!Consume('(')) return Error("expected '(' after datetime");
+    if (!Consume('(')) return Fail("expected '(' after datetime");
     SkipWs();
-    auto ms = ParseNumber();
-    if (!ms.ok()) return ms;
+    Value ms;
+    if (!ParseNumber(&ms)) return false;
     SkipWs();
-    if (!Consume(')')) return Error("expected ')' after datetime");
-    if (ms.value().tag() != TypeTag::kInt64) {
-      return Error("datetime requires an integer epoch-ms argument");
+    if (!Consume(')')) return Fail("expected ')' after datetime");
+    if (ms.tag() != TypeTag::kInt64) {
+      return Fail("datetime requires an integer epoch-ms argument");
     }
-    return Value::Datetime(ms.value().AsInt64());
+    *out = Value::Datetime(ms.AsInt64());
+    return true;
   }
 
-  std::string_view text_;
-  size_t pos_ = 0;
+  const char* const begin_;
+  const char* p_;
+  const char* const end_;
+  Scratch* const scratch_;
+  Status error_;
 };
 
 }  // namespace
 
 common::Result<Value> ParseAdm(std::string_view text) {
-  return Parser(text).Parse();
+  thread_local Scratch scratch;
+  return Parser(text, &scratch).Parse();
 }
 
 }  // namespace adm

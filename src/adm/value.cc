@@ -1,7 +1,8 @@
 #include "adm/value.h"
 
 #include <cassert>
-#include <cstdio>
+#include <charconv>
+#include <cstring>
 #include <string_view>
 
 namespace asterix {
@@ -208,105 +209,170 @@ bool Value::operator==(const Value& other) const {
 }
 
 namespace {
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        out->push_back(c);
+// The serializer computes an upper bound on the text's length, writes the
+// text through a raw pointer into a per-thread buffer of at least that
+// size, and copies it out at its exact size: one allocation per call, and
+// no capacity check per piece written.
+
+constexpr size_t kMaxIntChars = 20;     // "-9223372036854775808"
+// "-1.2345678901234567e-308"; an integral spelling plus ".0" is shorter.
+constexpr size_t kMaxDoubleChars = 24;
+
+// Every byte of a string may need a two-byte escape.
+size_t EscapedBound(const std::string& s) { return 2 * s.size() + 2; }
+
+size_t AdmBound(const Value& v) {
+  switch (v.tag()) {
+    case TypeTag::kNull:
+    case TypeTag::kBoolean:
+      return 5;
+    case TypeTag::kInt64:
+      return kMaxIntChars;
+    case TypeTag::kDouble:
+      return kMaxDoubleChars;
+    case TypeTag::kString:
+      return EscapedBound(v.AsString());
+    case TypeTag::kPoint:
+      return 9 + 2 * kMaxDoubleChars;  // "point(" x ", " y ")"
+    case TypeTag::kDatetime:
+      return 10 + kMaxIntChars;  // "datetime(" ms ")"
+    case TypeTag::kOrderedList: {
+      size_t total = 2;
+      for (const Value& item : v.AsList()) total += AdmBound(item) + 2;
+      return total;
+    }
+    case TypeTag::kRecord: {
+      size_t total = 2;
+      for (const auto& [name, value] : v.AsRecord()) {
+        total += EscapedBound(name) + 4 + AdmBound(value);  // ": ", ", "
+      }
+      return total;
     }
   }
-  out->push_back('"');
+  return 0;
 }
 
-void AppendDouble(double d, std::string* out) {
-  char buf[32];
-  int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
-  std::string_view sv(buf, static_cast<size_t>(n));
-  out->append(sv);
-  // Ensure doubles round-trip as doubles (never bare integers).
-  if (sv.find_first_of(".eEnN") == std::string_view::npos) {
-    out->append(".0");
+char* WriteBytes(const char* bytes, size_t n, char* out) {
+  std::memcpy(out, bytes, n);
+  return out + n;
+}
+
+char* WriteLiteral(std::string_view literal, char* out) {
+  return WriteBytes(literal.data(), literal.size(), out);
+}
+
+// Writes `s` quoted, copying each run between escaped bytes in one call.
+char* WriteEscaped(const std::string& s, char* out) {
+  *out++ = '"';
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    char escape;
+    switch (*p) {
+      case '"':
+      case '\\':
+        escape = *p;
+        break;
+      case '\n':
+        escape = 'n';
+        break;
+      case '\t':
+        escape = 't';
+        break;
+      case '\r':
+        escape = 'r';
+        break;
+      default:
+        continue;
+    }
+    out = WriteBytes(run, static_cast<size_t>(p - run), out);
+    *out++ = '\\';
+    *out++ = escape;
+    run = p + 1;
   }
+  out = WriteBytes(run, static_cast<size_t>(end - run), out);
+  *out++ = '"';
+  return out;
+}
+
+char* WriteInt(int64_t i, char* out) {
+  return std::to_chars(out, out + kMaxIntChars, i).ptr;
+}
+
+// Same bytes as printf("%.17g"): to_chars with an explicit precision is
+// specified to match printf with the corresponding conversion.
+char* WriteDouble(double d, char* out) {
+  char* end = std::to_chars(out, out + kMaxDoubleChars, d,
+                            std::chars_format::general, 17)
+                  .ptr;
+  // Ensure doubles round-trip as doubles (never bare integers).
+  const std::string_view text(out, static_cast<size_t>(end - out));
+  if (text.find_first_of(".eEnN") == std::string_view::npos) {
+    end = WriteLiteral(".0", end);
+  }
+  return end;
+}
+
+char* WriteAdm(const Value& v, char* out) {
+  switch (v.tag()) {
+    case TypeTag::kNull:
+      return WriteLiteral("null", out);
+    case TypeTag::kBoolean:
+      return WriteLiteral(v.AsBoolean() ? "true" : "false", out);
+    case TypeTag::kInt64:
+      return WriteInt(v.AsInt64(), out);
+    case TypeTag::kDouble:
+      return WriteDouble(v.AsDouble(), out);
+    case TypeTag::kString:
+      return WriteEscaped(v.AsString(), out);
+    case TypeTag::kPoint: {
+      const Point& p = v.AsPoint();
+      out = WriteLiteral("point(", out);
+      out = WriteDouble(p.x, out);
+      out = WriteLiteral(", ", out);
+      out = WriteDouble(p.y, out);
+      *out++ = ')';
+      return out;
+    }
+    case TypeTag::kDatetime:
+      out = WriteLiteral("datetime(", out);
+      out = WriteInt(v.AsDatetime(), out);
+      *out++ = ')';
+      return out;
+    case TypeTag::kOrderedList: {
+      *out++ = '[';
+      const ListVec& items = v.AsList();
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) out = WriteLiteral(", ", out);
+        out = WriteAdm(items[i], out);
+      }
+      *out++ = ']';
+      return out;
+    }
+    case TypeTag::kRecord: {
+      *out++ = '{';
+      const FieldVec& fields = v.AsRecord();
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (i > 0) out = WriteLiteral(", ", out);
+        out = WriteEscaped(fields[i].first, out);
+        out = WriteLiteral(": ", out);
+        out = WriteAdm(fields[i].second, out);
+      }
+      *out++ = '}';
+      return out;
+    }
+  }
+  return out;
 }
 }  // namespace
 
-void Value::AppendAdm(std::string* out) const {
-  switch (tag_) {
-    case TypeTag::kNull:
-      out->append("null");
-      return;
-    case TypeTag::kBoolean:
-      out->append(AsBoolean() ? "true" : "false");
-      return;
-    case TypeTag::kInt64: {
-      out->append(std::to_string(AsInt64()));
-      return;
-    }
-    case TypeTag::kDouble:
-      AppendDouble(AsDouble(), out);
-      return;
-    case TypeTag::kString:
-      AppendEscaped(AsString(), out);
-      return;
-    case TypeTag::kPoint: {
-      const Point& p = AsPoint();
-      out->append("point(");
-      AppendDouble(p.x, out);
-      out->append(", ");
-      AppendDouble(p.y, out);
-      out->append(")");
-      return;
-    }
-    case TypeTag::kDatetime:
-      out->append("datetime(");
-      out->append(std::to_string(AsDatetime()));
-      out->append(")");
-      return;
-    case TypeTag::kOrderedList: {
-      out->push_back('[');
-      const ListVec& items = AsList();
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) out->append(", ");
-        items[i].AppendAdm(out);
-      }
-      out->push_back(']');
-      return;
-    }
-    case TypeTag::kRecord: {
-      out->push_back('{');
-      const FieldVec& fields = AsRecord();
-      for (size_t i = 0; i < fields.size(); ++i) {
-        if (i > 0) out->append(", ");
-        AppendEscaped(fields[i].first, out);
-        out->append(": ");
-        fields[i].second.AppendAdm(out);
-      }
-      out->push_back('}');
-      return;
-    }
-  }
-}
-
 std::string Value::ToAdmString() const {
-  std::string out;
-  AppendAdm(&out);
-  return out;
+  // Grows to the largest value this thread has serialized and stays there.
+  thread_local std::string buffer;
+  const size_t bound = AdmBound(*this);
+  if (buffer.size() < bound) buffer.resize(bound);
+  char* const begin = buffer.data();
+  return std::string(begin, WriteAdm(*this, begin));
 }
 
 size_t Value::ApproxSizeBytes() const {

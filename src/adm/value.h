@@ -94,6 +94,10 @@ class Value {
   bool operator!=(const Value& other) const { return !(*this == other); }
 
   /// Serializes to ADM text (JSON superset: point(x, y), datetime(ms)).
+  /// Doubles are written as printf("%.17g") would, plus ".0" when that
+  /// reads as an integer, so they reparse bit-identical; non-finite ones
+  /// as inf, -inf, nan, -nan. The output is byte-stable (it is the WAL
+  /// payload) and is returned at its exact size with one allocation.
   std::string ToAdmString() const;
 
   /// Approximate in-memory footprint in bytes (for memory budgeting in
@@ -105,8 +109,6 @@ class Value {
   std::variant<std::monostate, bool, int64_t, double, std::string, Point,
                std::shared_ptr<ListVec>, std::shared_ptr<FieldVec>>
       data_;
-
-  void AppendAdm(std::string* out) const;
 };
 
 }  // namespace adm

@@ -161,13 +161,6 @@ void HookCvNotifyAll(void* cv);
 /// from `observed` (the model-build SpinWaitWhile).
 void HookBlockWhileValue(const void* loc, uint64_t observed);
 
-/// Fairness hint for spin-retry loops whose exit condition spans several
-/// locations (so HookBlockWhileValue does not apply). The calling thread
-/// is kept off the schedule until another thread executes a write-ish
-/// op; without it an unfair schedule can starve the peer whose progress
-/// the loop waits on, and every such loop reports as a livelock.
-void HookYield();
-
 std::chrono::steady_clock::time_point HookSteadyNow();
 
 }  // namespace mc

@@ -159,7 +159,7 @@ class FileAdaptor : public FeedAdaptor {
     RawBatch batch;
     std::string line;
     while (batch.payloads.size() < max && std::getline(stream_, line)) {
-      if (!line.empty()) batch.payloads.push_back(line);
+      if (!line.empty()) batch.payloads.push_back(std::move(line));
     }
     if (batch.payloads.empty()) batch.end_of_source = true;
     return batch;

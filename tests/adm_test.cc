@@ -1,3 +1,11 @@
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "adm/datatype.h"
@@ -140,6 +148,192 @@ TEST(ParserTest, ErrorsIncludeOffset) {
   auto r = ParseAdm("{\"a\": @}");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("offset"), std::string::npos);
+}
+
+// Every malformed input reports the same message at the same offset.
+struct MalformedCase {
+  const char* input;
+  const char* message;
+};
+
+class MalformedInputTest : public ::testing::TestWithParam<MalformedCase> {};
+
+TEST_P(MalformedInputTest, ExactMessageAndOffset) {
+  auto r = ParseAdm(GetParam().input);
+  ASSERT_FALSE(r.ok()) << r->ToAdmString();
+  EXPECT_EQ(r.status().code(), common::Status::Code::kCorruption);
+  EXPECT_EQ(r.status().message(), GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, MalformedInputTest,
+    ::testing::Values(
+        MalformedCase{"{\"a\":1,}",
+                      "ADM parse error at offset 7: expected field name"},
+        MalformedCase{"{\"a\":1, 5}",
+                      "ADM parse error at offset 8: expected field name"},
+        MalformedCase{"1.2.3",
+                      "ADM parse error at offset 5: malformed double '1.2.3'"},
+        MalformedCase{"1e", "ADM parse error at offset 2: malformed double '1e'"},
+        MalformedCase{"1e+",
+                      "ADM parse error at offset 3: malformed double '1e+'"},
+        MalformedCase{"-e5",
+                      "ADM parse error at offset 3: malformed double '-e5'"},
+        MalformedCase{"-", "ADM parse error at offset 1: malformed number"},
+        MalformedCase{"--1", "ADM parse error at offset 1: malformed number"},
+        MalformedCase{"-i", "ADM parse error at offset 1: malformed number"},
+        MalformedCase{"point(1,)",
+                      "ADM parse error at offset 8: malformed number"},
+        MalformedCase{"point(1)",
+                      "ADM parse error at offset 7: expected ',' in point"},
+        MalformedCase{"point 1",
+                      "ADM parse error at offset 6: expected '(' after point"},
+        MalformedCase{"datetime(1.5)",
+                      "ADM parse error at offset 13: datetime requires an "
+                      "integer epoch-ms argument"},
+        MalformedCase{"datetime(x)",
+                      "ADM parse error at offset 9: malformed number"},
+        MalformedCase{"{\"a\":\"\\q\"}",
+                      "ADM parse error at offset 8: bad escape '\\q'"},
+        MalformedCase{"\"unterminated",
+                      "ADM parse error at offset 13: unterminated string"},
+        MalformedCase{"\"esc\\",
+                      "ADM parse error at offset 5: unterminated escape"},
+        MalformedCase{"{\"a\" 1}",
+                      "ADM parse error at offset 5: expected ':' after field "
+                      "name"},
+        MalformedCase{"{\"a\":1 \"b\":2}",
+                      "ADM parse error at offset 7: expected ',' or '}' in "
+                      "record"},
+        MalformedCase{"[1 2]",
+                      "ADM parse error at offset 3: expected ',' or ']' in "
+                      "list"},
+        MalformedCase{"[1,]",
+                      "ADM parse error at offset 3: unexpected character ']'"},
+        MalformedCase{"", "ADM parse error at offset 0: unexpected end of input"},
+        MalformedCase{"12abc",
+                      "ADM parse error at offset 2: trailing characters after "
+                      "value"},
+        MalformedCase{"nul", "ADM parse error at offset 0: expected 'null'"},
+        MalformedCase{"fals", "ADM parse error at offset 0: expected 'false'"},
+        MalformedCase{"in",
+                      "ADM parse error at offset 0: unexpected character 'i'"},
+        MalformedCase{"infinity",
+                      "ADM parse error at offset 3: trailing characters after "
+                      "value"}));
+
+TEST(ParserTest, NestedErrorUnwindsScratch) {
+  // The error sits in a list inside a record inside a list inside a
+  // record, with fields and items already gathered at every level.
+  auto bad = ParseAdm("{\"a\": [1, {\"b\": [2, @]}], \"c\": 3}");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "ADM parse error at offset 20: unexpected character '@'");
+  // A later parse on the same thread sees none of the half-built
+  // levels: each record holds exactly its own fields.
+  auto good = ParseAdm("{\"x\": [true], \"y\": {\"z\": null}}");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_EQ(good->AsRecord().size(), 2u);
+  EXPECT_EQ(good->GetField("x")->AsList().size(), 1u);
+  EXPECT_EQ(good->GetField("y")->AsRecord().size(), 1u);
+  EXPECT_EQ(good->ToAdmString(), "{\"x\": [true], \"y\": {\"z\": null}}");
+}
+
+TEST(ParserTest, EscapesAtStartMiddleAndEndOfLongStrings) {
+  const std::string cases[] = {
+      "\\\"starts with a quote, then a long tail",
+      "a long head, then \\n a newline and \\t a tab",
+      "a long head that ends in a backslash \\\\",
+      "\\r\\n\\t\\\"\\\\ only escapes, then sixteen+ more bytes",
+  };
+  const std::string decoded[] = {
+      "\"starts with a quote, then a long tail",
+      "a long head, then \n a newline and \t a tab",
+      "a long head that ends in a backslash \\",
+      "\r\n\t\"\\ only escapes, then sixteen+ more bytes",
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const std::string text = "\"" + cases[i] + "\"";
+    auto parsed = ParseAdm(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->AsString(), decoded[i]);
+    EXPECT_EQ(parsed->ToAdmString(), text);
+  }
+  // '\/' decodes to '/', which is written back unescaped.
+  EXPECT_EQ(ParseAdm("\"a\\/b, long enough to leave SSO\"")->AsString(),
+            "a/b, long enough to leave SSO");
+}
+
+TEST(ParserTest, Int64LimitsAndSaturation) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(ParseAdm("9223372036854775807")->AsInt64(), max);
+  EXPECT_EQ(ParseAdm("-9223372036854775808")->AsInt64(), min);
+  // Out of range saturates, as strtoll does.
+  EXPECT_EQ(ParseAdm("9223372036854775808")->AsInt64(), max);
+  EXPECT_EQ(ParseAdm("-99999999999999999999")->AsInt64(), min);
+  EXPECT_EQ(Value::Int64(max).ToAdmString(), "9223372036854775807");
+  EXPECT_EQ(Value::Int64(min).ToAdmString(), "-9223372036854775808");
+  EXPECT_EQ(ParseAdm("datetime(-9223372036854775808)")->AsDatetime(), min);
+}
+
+// The printf("%.17g") spelling of `d`, plus ".0" when that reads as an
+// integer: the serializer's contract for doubles.
+std::string PrintfDouble(double d) {
+  char buf[64];
+  int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
+  std::string s(buf, static_cast<size_t>(n));
+  if (s.find_first_of(".eEnN") == std::string::npos) s += ".0";
+  return s;
+}
+
+TEST(SerializeTest, DoublesMatchPrintfAndReparseBitIdentical) {
+  for (double d : {0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e21, 123.0,
+                   -117.8, 33.5, 1e-7, 0.0}) {
+    const std::string text = Value::Double(d).ToAdmString();
+    EXPECT_EQ(text, PrintfDouble(d));
+    auto parsed = ParseAdm(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    ASSERT_EQ(parsed->tag(), TypeTag::kDouble) << text;
+    const double back = parsed->AsDouble();
+    EXPECT_EQ(std::memcmp(&back, &d, sizeof(d)), 0) << text;
+  }
+  EXPECT_EQ(Value::Double(-0.0).ToAdmString(), "-0.0");
+  EXPECT_EQ(Value::Double(123.0).ToAdmString(), "123.0");
+  EXPECT_EQ(Value::Double(1e21).ToAdmString(), "1e+21");
+  // strtod's range handling is kept: overflow saturates to infinity and
+  // underflow flushes to zero.
+  EXPECT_EQ(ParseAdm("1e-999")->AsDouble(), 0.0);
+}
+
+TEST(SerializeTest, NonFiniteDoublesRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(ParseAdm("1e999")->AsDouble(), inf);
+  EXPECT_EQ(ParseAdm("-1e999")->AsDouble(), -inf);
+  const std::pair<double, const char*> cases[] = {
+      {inf, "inf"}, {-inf, "-inf"}, {nan, "nan"}, {-nan, "-nan"}};
+  for (const auto& [d, text] : cases) {
+    EXPECT_EQ(Value::Double(d).ToAdmString(), text);
+    EXPECT_EQ(Value::Double(d).ToAdmString(), PrintfDouble(d));
+    auto parsed = ParseAdm(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    ASSERT_EQ(parsed->tag(), TypeTag::kDouble);
+    EXPECT_EQ(std::signbit(parsed->AsDouble()), std::signbit(d)) << text;
+    EXPECT_EQ(std::isnan(parsed->AsDouble()), std::isnan(d)) << text;
+    EXPECT_EQ(parsed->ToAdmString(), text);
+  }
+  // Inside records and points too: this is the shape a WAL entry or a
+  // spilled frame carries.
+  const std::string record =
+      "{\"x\": inf, \"y\": -inf, \"z\": nan, \"at\": point(-nan, inf)}";
+  auto parsed = ParseAdm(record);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->ToAdmString(), record);
+  EXPECT_EQ(ParseAdm(ParseAdm("{\"x\": 1e999}")->ToAdmString())
+                ->GetField("x")
+                ->AsDouble(),
+            inf);
 }
 
 class AdmRoundTripTest : public ::testing::TestWithParam<const char*> {};

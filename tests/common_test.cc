@@ -58,13 +58,12 @@ TEST(AtomicShimTest, SpinWaitWhileReturnsOnStore) {
   releaser.join();
 }
 
-TEST(AtomicShimTest, FenceAndYieldAreCallable) {
-  // Pass-through build: these compile to the std primitives and are
+TEST(AtomicShimTest, FenceIsCallable) {
+  // Pass-through build: these compile to std::atomic_thread_fence and are
   // safe to call from any context.
   AtomicFence(std::memory_order_seq_cst);
   AtomicFence(std::memory_order_acquire);
   AtomicFence(std::memory_order_release);
-  SpinYield();
 }
 
 TEST(StatusTest, DefaultIsOk) {

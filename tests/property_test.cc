@@ -165,9 +165,12 @@ TEST_P(AdmFuzzTest, GeneratedTweetsRoundTrip) {
   gen::TweetFactory factory(static_cast<int>(GetParam()), GetParam());
   for (int i = 0; i < 200; ++i) {
     Value tweet = factory.NextTweet();
-    auto parsed = adm::ParseAdm(tweet.ToAdmString());
+    const std::string text = tweet.ToAdmString();
+    auto parsed = adm::ParseAdm(text);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(*parsed, tweet);
+    // Byte for byte: the WAL and spill files carry this text.
+    EXPECT_EQ(parsed->ToAdmString(), text);
   }
 }
 

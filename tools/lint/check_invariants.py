@@ -89,12 +89,9 @@ LOCK_RANK_ENTRY = re.compile(r"^\s*k(\w+)\s*=\s*(\d+),")
 # The one place raw spin loops are legitimate: the lock-free queues, whose
 # bounded spins always fall back to EventCount parking — plus the model
 # build's SpinWaitWhile shim, which routes the same spin to the checker.
-# model_check.cc: HookYield's passthrough build IS the yield primitive
-# other code parks through; the checker runtime cannot park on itself.
 SPIN_ALLOWLIST = {
     "src/common/mpmc_queue.h",
     "src/common/atomic_shim.h",
-    "src/common/model_check.cc",
 }
 
 def find_repo_root(start: Path) -> Path:
