@@ -15,9 +15,9 @@
 #               `sanitizer`-labeled chaos soak)
 #   tsan-chaos  ThreadSanitizer build, concurrency-heavy suites
 #   deadlock    runtime lock-order checker ON (ASTERIX_DEADLOCK_DETECTOR),
-#               detector unit tests + chaos/sanitizer-labeled suites
+#               the full ctest suite
 #   modelcheck  deterministic model checker (ASTERIX_MODEL_CHECK_TESTS):
-#               litmus/invariant suite + seeded-bug regressions
+#               litmus/invariant suite + the seeded-bug regression
 #   clang-tidy  curated .clang-tidy baseline over src/ (SKIP when
 #               clang-tidy is not installed)
 #   lint        tools/lint/check_invariants.py

@@ -23,8 +23,7 @@ struct LocalCluster::BoltTask {
   std::unique_ptr<Bolt> bolt;
   common::BlockingQueue<Envelope> queue;
 
-  BoltTask(size_t capacity)
-      : queue(capacity, common::LockRank::kStormQueue) {}
+  BoltTask(size_t capacity) : queue(capacity) {}
 };
 
 void LocalCluster::Acker::Register(int64_t root_id, int64_t timeout_at_ms,

@@ -5,8 +5,7 @@
 // `std::atomic<T>` (a type alias — not a wrapper, so there is nothing to
 // inline away), `AtomicFence` is `std::atomic_thread_fence`, `DataCell`
 // is a bare value, and `SteadyNow` is `steady_clock::now`. The
-// static_asserts below prove the pass-through at compile time; the
-// bench_queue CI gate proves it at run time.
+// static_asserts below prove the pass-through at compile time.
 //
 // Model builds (ASTERIX_MODEL_CHECK defined — only ever by
 // tests/model/): every load/store/RMW/fence routes through the
@@ -18,7 +17,7 @@
 // an atomic protocol is verified to actually be protected.
 //
 // The SPIN-PARK lint allowlists this header: SpinWaitWhile is the one
-// place outside mpmc_queue.h allowed to spin, and only as the normal
+// place outside snapshot_ptr.h allowed to spin, and only as the normal
 // build's bounded TTAS inner loop (the model build parks the thread in
 // the scheduler instead, so a genuine stuck spin is reported as a
 // deadlock with a trace rather than burning the exploration budget).
@@ -107,7 +106,7 @@ inline void SpinWaitWhile(const Atomic<T>& a, T v) {
 
 // The pass-through proof: Atomic must be layout- and type-identical to
 // std::atomic (an alias, not a wrapper), and DataCell must add nothing
-// to the payload. bench_queue's perf gate rests on these being true.
+// to the payload.
 static_assert(std::is_same_v<Atomic<uint64_t>, std::atomic<uint64_t>>,
               "Atomic<T> must alias std::atomic<T> in normal builds");
 static_assert(std::is_same_v<Atomic<bool>, std::atomic<bool>>,

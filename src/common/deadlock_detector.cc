@@ -8,7 +8,7 @@ namespace common {
 
 const char* LockRankName(LockRank rank) {
   switch (rank) {
-    case LockRank::kQueueParking: return "kQueueParking";
+    case LockRank::kBlockingQueue: return "kBlockingQueue";
     case LockRank::kLogging: return "kLogging";
     case LockRank::kMetricsRegistry: return "kMetricsRegistry";
     case LockRank::kFailPointRegistry: return "kFailPointRegistry";
@@ -16,9 +16,7 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kTracer: return "kTracer";
     case LockRank::kSimCpu: return "kSimCpu";
     case LockRank::kMemGovernor: return "kMemGovernor";
-    case LockRank::kBlockingQueue: return "kBlockingQueue";
     case LockRank::kTypeRegistry: return "kTypeRegistry";
-    case LockRank::kTweetChannel: return "kTweetChannel";
     case LockRank::kWal: return "kWal";
     case LockRank::kLsmIndex: return "kLsmIndex";
     case LockRank::kSecondaryIndex: return "kSecondaryIndex";
@@ -44,7 +42,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kPolicyRegistry: return "kPolicyRegistry";
     case LockRank::kMetricsProviders: return "kMetricsProviders";
     case LockRank::kCentralFeedManager: return "kCentralFeedManager";
-    case LockRank::kStormQueue: return "kStormQueue";
     case LockRank::kStormSpoutTracker: return "kStormSpoutTracker";
     case LockRank::kStormAcker: return "kStormAcker";
     case LockRank::kMongoCollection: return "kMongoCollection";

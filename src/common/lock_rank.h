@@ -40,9 +40,8 @@ namespace common {
 
 enum class LockRank : uint16_t {
   // ---- common (0-99): leaves, safe to take while holding anything ----
-  kQueueParking = 5,       // EventCount parking lot under the lock-free
-                           // rings (mpmc_queue.h) — the lowest rank:
-                           // nothing is ever acquired under it
+  kBlockingQueue = 5,      // every BlockingQueue's mutex — the lowest
+                           // rank: nothing is ever acquired under it
   kLogging = 10,           // logging.cc g_mutex (log-file swap)
   kMetricsRegistry = 20,   // MetricsRegistry metric maps (GetCounter/...)
   kFailPointRegistry = 30, // FailPointRegistry armed-site map
@@ -54,13 +53,9 @@ enum class LockRank : uint16_t {
                            // storage/feeds lock: Release's waiter-notify
                            // path runs while callers hold kWal/kLsmIndex/
                            // kSubscriberQueue, so those must rank higher.
-  kBlockingQueue = 90,     // default rank for free-standing queues
 
   // ---- adm (100-119) ----
   kTypeRegistry = 110,     // adm datatype catalog
-
-  // ---- gen (120-149) ----
-  kTweetChannel = 130,     // tweetgen Channel queue
 
   // ---- storage (200-299): inner to outer along the write path ----
   kWal = 210,              // write-ahead log file
@@ -71,9 +66,6 @@ enum class LockRank : uint16_t {
   kDatasetCatalog = 260,   // cluster-wide dataset metadata
 
   // ---- hyracks (300-399) ----
-  // (310 was kTaskQueue, the task input queue's BlockingQueue mutex —
-  // retired when the pump moved to the rank-exempt lock-free ring in
-  // common/mpmc_queue.h.)
   kCollectSink = 320,      // CollectSinkOperator shared vector
   kNodeController = 330,   // node services + task roster
   kClusterController = 340,// cluster node/job/listener maps
@@ -98,7 +90,6 @@ enum class LockRank : uint16_t {
   kCentralFeedManager = 495, // outermost: connection/joint/head maps
 
   // ---- baseline (500-599) ----
-  kStormQueue = 510,       // storm tuple queues
   kStormSpoutTracker = 520,// spout pending/replay ledger
   kStormAcker = 530,       // acker XOR trees
   kMongoCollection = 540,  // mongo document map

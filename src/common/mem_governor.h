@@ -15,7 +15,7 @@
 //     budget property tests assert it concurrently.
 //   * ReserveFor parks on a per-pool CondVar under a kMemGovernor-ranked
 //     mutex; Release only touches that mutex when a waiter is registered
-//     (Dekker-style handshake on `waiters_`, mirroring EventCount). It
+//     (Dekker-style eventcount handshake on `waiters_`). It
 //     must be called with no locks held at rank <= kMemGovernor.
 //   * ForceReserve never fails: it can push `used` past capacity
 //     (overdraft) for paths that must make progress regardless of budget
@@ -38,8 +38,8 @@
 #include <vector>
 
 #include "common/atomic_shim.h"
-#include "common/mpmc_queue.h"  // SnapshotPtr (lock-free callback swap)
 #include "common/observability.h"
+#include "common/snapshot_ptr.h"  // lock-free callback swap
 #include "common/status.h"
 #include "common/thread_annotations.h"
 

@@ -51,7 +51,7 @@
 //     sequences). seq_cst stores/RMWs/fences join bidirectionally with
 //     a global SC clock; seq_cst loads deliberately do NOT (they
 //     compile to plain loads on x86 — modelling the exact StoreLoad
-//     hazard behind the EventCount lost-wakeup bug).
+//     hazard behind the classic eventcount lost-wakeup bug).
 //
 //   * Virtual time: SteadyNow() reads a clock that advances only when
 //     every thread is blocked, jumping to the earliest timed-wait

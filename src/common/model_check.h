@@ -24,7 +24,7 @@
 //     seq_cst RMWs join bidirectionally — slightly stronger than the
 //     C++ abstract machine, matching the x86/ARM mappings; seq_cst
 //     LOADS only acquire, modelling the plain-MOV compilation that made
-//     the EventCount StoreLoad bug real).
+//     the classic eventcount StoreLoad bug real).
 //
 //   * Detects: MODEL_ASSERT violations, data races on DataCell payloads
 //     (vector-clock conflict check), deadlocks (every thread blocked

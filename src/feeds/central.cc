@@ -360,8 +360,42 @@ Status CentralFeedManager::BuildTailLocked(ConnectionInfo* conn) {
                                         : std::string();
                 }});
 
+  // Subscribe each intake partition's input buffer before the job starts:
+  // an intake subscribing from its own thread in Open would miss every
+  // frame its source joint routes in between, though ConnectFeed has
+  // already returned. The intake adopts the queue in Open, the way a
+  // successor adopts a handed-off buffer; a buffer a predecessor handed
+  // off takes precedence.
+  std::vector<std::pair<std::shared_ptr<FeedManager>, std::string>>
+      presubscribed;
+  for (size_t p = 0; p < conn->intake_locations.size(); ++p) {
+    auto* node = cluster_->GetNode(conn->intake_locations[p]);
+    if (node == nullptr || !node->alive()) continue;
+    std::shared_ptr<FeedManager> fm = FeedManager::Of(node);
+    const int partition = static_cast<int>(p);
+    const std::string key =
+        conn->id + ":intake:" + std::to_string(partition);
+    std::optional<FeedManager::IntakeHandoff> handoff =
+        fm->TakeIntakeHandoff(key);
+    if (!handoff.has_value()) {
+      auto joint = fm->LookupJoint(JointInstanceId(source_base, partition));
+      if (joint == nullptr) continue;  // the intake's Open reports it
+      handoff = FeedManager::IntakeHandoff{
+          joint, joint->Subscribe(IntakeSubscriberOptions(pcfg, partition))};
+      presubscribed.emplace_back(fm, key);
+    }
+    fm->SaveIntakeHandoff(key, std::move(*handoff));
+  }
+
   auto job = cluster_->StartJob(std::move(spec));
-  if (!job.ok()) return job.status();
+  if (!job.ok()) {
+    for (auto& [fm, key] : presubscribed) {
+      if (auto handoff = fm->TakeIntakeHandoff(key)) {
+        handoff->joint->Unsubscribe(handoff->queue);
+      }
+    }
+    return job.status();
+  }
   conn->tail_job = *job;
   conn->store_detached = false;
 

@@ -39,9 +39,10 @@ class FeedManager {
   /// A still-subscribed subscriber queue being handed from a terminating
   /// intake instance to its successor, which "takes ownership of the
   /// input buffer used by the alive instance from the previous
-  /// execution". The joint pointer identifies which producer the queue
-  /// is subscribed to: the successor adopts the queue only if that joint
-  /// is still the live one.
+  /// execution". The connect path hands a fresh intake its queue the
+  /// same way, subscribed before the tail job starts. The joint pointer
+  /// identifies which producer the queue is subscribed to: the successor
+  /// adopts the queue only if that joint is still the live one.
   struct IntakeHandoff {
     std::shared_ptr<FeedJoint> joint;
     std::shared_ptr<SubscriberQueue> queue;

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "common/mpmc_queue.h"
+#include "common/snapshot_ptr.h"
 #include "common/thread_annotations.h"
 #include "feeds/subscriber.h"
 #include "hyracks/frame.h"

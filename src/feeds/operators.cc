@@ -102,6 +102,20 @@ FeedIntakeOperator::FeedIntakeOperator(std::string source_joint_id,
     : source_joint_id_(std::move(source_joint_id)),
       pipeline_(std::move(pipeline)) {}
 
+SubscriberOptions IntakeSubscriberOptions(const PipelineConfig& pipeline,
+                                          int partition) {
+  SubscriberOptions options;
+  options.mode = pipeline.policy.excess_mode();
+  options.memory_budget_bytes = pipeline.policy.memory_budget_bytes();
+  options.max_spill_bytes = pipeline.policy.max_spill_bytes();
+  options.throttle_after_spill = pipeline.policy.GetBool(
+      IngestionPolicy::kExcessRecordsThrottle, false) &&
+      options.mode == ExcessMode::kSpill;
+  options.spill_dir = pipeline.spill_dir;
+  options.name = pipeline.connection_id + ".p" + std::to_string(partition);
+  return options;
+}
+
 Status FeedIntakeOperator::Open(TaskContext* ctx) {
   feed_manager_ = FeedManager::Of(ctx->node());
   // The search API (§5.2): discover the co-located subscribable instance.
@@ -112,16 +126,8 @@ Status FeedIntakeOperator::Open(TaskContext* ctx) {
                             "' (intake must be co-located)");
   }
 
-  SubscriberOptions options;
-  options.mode = pipeline_.policy.excess_mode();
-  options.memory_budget_bytes = pipeline_.policy.memory_budget_bytes();
-  options.max_spill_bytes = pipeline_.policy.max_spill_bytes();
-  options.throttle_after_spill = pipeline_.policy.GetBool(
-      IngestionPolicy::kExcessRecordsThrottle, false) &&
-      options.mode == ExcessMode::kSpill;
-  options.spill_dir = pipeline_.spill_dir;
-  options.name = pipeline_.connection_id + ".p" +
-                 std::to_string(ctx->partition());
+  SubscriberOptions options =
+      IntakeSubscriberOptions(pipeline_, ctx->partition());
 
   // Resume any state handed off by a predecessor instance (recovery):
   // oldest first — the predecessor's unforwarded frames...
@@ -130,7 +136,8 @@ Status FeedIntakeOperator::Open(TaskContext* ctx) {
   for (FramePtr& frame : feed_manager_->TakeZombieState(state_key)) {
     held_.push_back(std::move(frame));
   }
-  // ...then its still-subscribed input buffer, adopted outright when the
+  // ...then its still-subscribed input buffer (or the one the connect
+  // path subscribed before this job started), adopted outright when the
   // producing joint is unchanged (no delivery gap), or drained into the
   // held buffer when the head was itself rebuilt.
   auto handoff = feed_manager_->TakeIntakeHandoff(state_key);

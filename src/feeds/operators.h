@@ -37,6 +37,12 @@ struct PipelineConfig {
   size_t frame_records = 64;
 };
 
+/// Subscriber-queue options of intake partition `partition`: shared by
+/// the intake's Open and by the connect path, which subscribes the queue
+/// before the tail job starts (CentralFeedManager::BuildTailLocked).
+SubscriberOptions IntakeSubscriberOptions(const PipelineConfig& pipeline,
+                                          int partition);
+
 /// --- head section -----------------------------------------------------
 class FeedCollectOperator : public hyracks::Operator {
  public:

@@ -49,8 +49,7 @@ class Channel {
   size_t pending() const { return queue_.size(); }
 
  private:
-  common::BlockingQueue<std::string> queue_{SIZE_MAX,
-                                            common::LockRank::kTweetChannel};
+  common::BlockingQueue<std::string> queue_;
 };
 
 /// Synthesizes one tweet record per call. Deterministic per seed.

@@ -49,7 +49,7 @@ std::vector<adm::Value> FramePool::AcquireRecords() {
     if (budget_ != nullptr) budget_->Release(static_cast<size_t>(retained));
     // relaxed: retained_bytes_ is a gauge conserved by its RMWs and the
     // hit/miss cells are stats counters; the vector itself was handed
-    // over by the lock-free queue, which carries the ordering.
+    // over by the free-list queue, whose mutex carries the ordering.
     retained_bytes_.fetch_sub(retained, std::memory_order_relaxed);
     vector_hits_.fetch_add(1, std::memory_order_relaxed);
     return std::move(*v);
@@ -84,8 +84,8 @@ void FramePool::RecycleRecords(std::vector<adm::Value>&& records) {
 void* FramePool::AllocateBlock(size_t bytes) {
   size_t expected = 0;
   // relaxed: block_size_ is a write-once size latch — no data hangs off
-  // it (blocks travel through the lock-free queue, which orders their
-  // payload) and a stale zero only takes the plain-heap miss path.
+  // it (blocks travel through the free-list queue, whose mutex orders
+  // their payload) and a stale zero only takes the plain-heap miss path.
   block_size_.compare_exchange_strong(expected, bytes,
                                       std::memory_order_relaxed);
   if (bytes == block_size_.load(std::memory_order_relaxed)) {

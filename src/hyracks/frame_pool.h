@@ -7,7 +7,7 @@
 //
 // Recycling protocol:
 //   * MakeFrame allocates the Frame through a single-size block
-//     allocator whose free list is a lock-free MpmcQueue<void*>. The
+//     allocator whose free list is a bounded BlockingQueue<void*>. The
 //     block size is learned from the first allocation (every
 //     allocate_shared<Frame> request is the same size); odd-size
 //     requests fall through to operator new.
@@ -35,7 +35,7 @@
 
 #include "adm/value.h"
 #include "common/mem_governor.h"
-#include "common/mpmc_queue.h"
+#include "common/blocking_queue.h"
 #include "hyracks/frame.h"
 
 namespace asterix {
@@ -136,8 +136,8 @@ class FramePool {
   /// allocate_shared request size, learned on first allocation (0 until
   /// then). All pooled frames share it.
   std::atomic<size_t> block_size_{0};
-  common::MpmcQueue<void*> blocks_;
-  common::MpmcQueue<std::vector<adm::Value>> vectors_;
+  common::BlockingQueue<void*> blocks_;
+  common::BlockingQueue<std::vector<adm::Value>> vectors_;
   std::atomic<int64_t> block_hits_{0};
   std::atomic<int64_t> block_misses_{0};
   std::atomic<int64_t> vector_hits_{0};

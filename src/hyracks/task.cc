@@ -137,8 +137,8 @@ void Task::ThreadMain() {
       // capacity reaches the high-water batch size.
       std::vector<FrameMessage> batch;
       while (!done) {
-        // One parked wakeup drains everything queued; the ring makes the
-        // drain itself lock-free (one CAS per message).
+        // One parked wakeup drains everything queued under a single
+        // lock acquisition.
         if (!PumpBatch(&batch)) {
           // Queue closed: hard abort (node death / job abort).
           aborted = true;

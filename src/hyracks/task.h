@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.h"
+#include "common/blocking_queue.h"
 #include "common/status.h"
 #include "hyracks/job.h"
 #include "hyracks/operator.h"
@@ -100,11 +100,10 @@ class Task : public TaskContext,
   const int partition_count_;
   NodeController* node_;
   std::unique_ptr<Operator> op_;
-  // Lock-free input ring: producers (routers) and the pump thread meet
-  // here without a mutex. The old BlockingQueue seam's kTaskQueue rank is
-  // retired on this path — the ring has nothing to rank (see
-  // common/mpmc_queue.h "Rank exemption").
-  common::MpmcQueue<FrameMessage> input_;
+  // Bounded input queue: producers (routers) block here when it is full,
+  // which is the engine's back-pressure. queue_capacity() reports exactly
+  // the capacity passed in.
+  common::BlockingQueue<FrameMessage> input_;
   // Unprocessed tail of the in-flight pop batch when the task is killed
   // mid-batch. Written only by the task thread; read by FreezeAndDrain
   // after Join() (the join is the synchronization point).

@@ -172,47 +172,40 @@ TEST(BlockingQueueTest, PopForTimesOut) {
   EXPECT_FALSE(item.has_value());
 }
 
-TEST(BlockingQueueTest, PopAllDrainsEverythingInOrder) {
+TEST(BlockingQueueTest, PopAllIntoDrainsEverythingInOrder) {
   BlockingQueue<int> q;
   for (int i = 0; i < 5; ++i) q.Push(i);
-  auto batch = q.PopAll();
-  ASSERT_EQ(batch.size(), 5u);
+  std::vector<int> batch;
+  ASSERT_EQ(q.PopAllInto(&batch), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(batch[static_cast<size_t>(i)], i);
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BlockingQueueTest, PopAllBlocksUntilItemArrives) {
+TEST(BlockingQueueTest, PopAllIntoBlocksUntilItemArrives) {
   BlockingQueue<int> q;
   auto producer = ::asterix::testing::After(20, [&] { q.Push(42); });
-  auto batch = q.PopAll();  // blocks until the producer delivers
+  std::vector<int> batch;
+  q.PopAllInto(&batch);  // blocks until the producer delivers
   producer.join();
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0], 42);
 }
 
-TEST(BlockingQueueTest, PopAllCloseAndDrainSemantics) {
+TEST(BlockingQueueTest, PopAllIntoCloseAndDrainSemantics) {
   BlockingQueue<int> q;
   q.Push(1);
   q.Push(2);
   q.Close();
-  auto batch = q.PopAll();  // close drains the remaining items first
+  std::vector<int> batch;
+  q.PopAllInto(&batch);  // close drains the remaining items first
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0], 1);
   EXPECT_EQ(batch[1], 2);
-  EXPECT_TRUE(q.PopAll().empty());  // closed and drained
+  EXPECT_EQ(q.PopAllInto(&batch), 0u);  // closed and drained
   EXPECT_TRUE(q.TryPopAll().empty());
 }
 
-TEST(BlockingQueueTest, PopAllForTimesOut) {
-  BlockingQueue<int> q;
-  EXPECT_TRUE(q.PopAllFor(std::chrono::milliseconds(10)).empty());
-  q.Push(7);
-  auto batch = q.PopAllFor(std::chrono::milliseconds(10));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], 7);
-}
-
-TEST(BlockingQueueTest, PopAllReleasesBlockedProducers) {
+TEST(BlockingQueueTest, PopAllIntoReleasesBlockedProducers) {
   BlockingQueue<int> q(2);
   q.Push(1);
   q.Push(2);
@@ -223,7 +216,8 @@ TEST(BlockingQueueTest, PopAllReleasesBlockedProducers) {
   });
   EXPECT_TRUE(::asterix::testing::StaysFalseFor(
       [&] { return pushed.load(); }, 20));
-  auto batch = q.PopAll();  // one drain frees all waiting producers
+  std::vector<int> batch;
+  q.PopAllInto(&batch);  // one drain frees all waiting producers
   EXPECT_GE(batch.size(), 2u);
   producer.join();
   EXPECT_TRUE(pushed.load());

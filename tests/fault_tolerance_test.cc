@@ -5,6 +5,8 @@
 
 #include "asterix/asterix.h"
 #include "common/clock.h"
+#include "feeds/feed_manager.h"
+#include "feeds/joint.h"
 #include "feeds/udf.h"
 #include "gen/tweetgen.h"
 #include "testing_util.h"
@@ -349,6 +351,39 @@ TEST_F(FaultToleranceTest, PartialDisconnectKeepsDependentsFlowing) {
   EXPECT_LT(mid_final, sent);
   EXPECT_GE(mid_final, mid_at_disconnect);
   feeds::ExternalSourceRegistry::Instance().UnregisterChannel("ft:7");
+}
+
+// ConnectFeed returns with the connection's intake buffer already
+// subscribed to its source joint, so a feed connected to a running
+// compute stage misses no frame the joint routes after the call returns.
+TEST_F(FaultToleranceTest, ConnectSubscribesIntakeBeforeReturning) {
+  auto& source = NewSource(0, gen::Pattern::Constant(100, 100));
+  SetupFeed("ft:9", &source.channel(), {"E"});
+  ASSERT_TRUE(db_->CreateDataset(TweetsDataset("Deep", {"F"})).ok());
+  ASSERT_TRUE(db_->InstallUdf(feeds::AqlUdf::ExtractHashtags("tags2")).ok());
+  feeds::FeedDef dependent;
+  dependent.name = "Dependent";
+  dependent.is_primary = false;
+  dependent.parent_feed = "Feed";
+  dependent.udf = "tags2";
+  ASSERT_TRUE(db_->CreateFeed(dependent).ok());
+
+  auto subscribers = [&](const std::string& joint_instance) {
+    for (const std::string& node : db_->cluster().AliveNodeIds()) {
+      auto joint = feeds::FeedManager::Of(db_->cluster().GetNode(node))
+                       ->LookupJoint(joint_instance);
+      if (joint != nullptr) return joint->subscriber_count();
+    }
+    return size_t{0};
+  };
+  ASSERT_TRUE(
+      db_->ConnectFeed("Feed", "Sink", "Basic", {.compute_count = 1}).ok());
+  EXPECT_EQ(subscribers("Feed#0"), 1u);
+  ASSERT_TRUE(
+      db_->ConnectFeed("Dependent", "Deep", "Basic", {.compute_count = 1})
+          .ok());
+  EXPECT_EQ(subscribers("Feed:tags#0"), 1u);
+  feeds::ExternalSourceRegistry::Instance().UnregisterChannel("ft:9");
 }
 
 TEST_F(FaultToleranceTest, AtLeastOnceReplaysGroupAcks) {

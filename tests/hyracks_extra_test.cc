@@ -226,9 +226,10 @@ TEST_F(EngineFixture, FreezeAndDrainConservesFramesUnderConcurrentProducers) {
   }
 }
 
-// The same conservation law at the queue level: PopAllFor racing TryPush
-// from several producers, with a Close cutting in. accepted == drained.
-TEST(BlockingQueueRaceTest, PopAllForAndCloseConserveItems) {
+// The same conservation law at the queue level: batched drains racing
+// TryPush from several producers, with a Close cutting in and a final
+// TryPopAll (FreezeAndDrain's pattern). accepted == drained.
+TEST(BlockingQueueRaceTest, DrainsAndCloseConserveItems) {
   for (int round = 0; round < 30; ++round) {
     common::BlockingQueue<int> queue(16);
     std::atomic<int64_t> accepted{0};
@@ -242,9 +243,10 @@ TEST(BlockingQueueRaceTest, PopAllForAndCloseConserveItems) {
       });
     }
     int64_t drained = 0;
+    std::vector<int> batch;
     for (int i = 0; i < 20; ++i) {
-      drained += static_cast<int64_t>(
-          queue.PopAllFor(std::chrono::milliseconds(1)).size());
+      batch.clear();
+      drained += static_cast<int64_t>(queue.PopAllInto(&batch));
     }
     queue.Close();  // from here every TryPush must be rejected
     stop.store(true);

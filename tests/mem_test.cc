@@ -13,12 +13,14 @@
 
 #include <atomic>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/mem_governor.h"
@@ -538,6 +540,11 @@ TEST(ZeroAllocSteadyState, PooledFramePathAllocatesNothingPerFrame) {
   hyracks::FrameAppender appender(&writer, kRecordsPerFrame,
                                   /*max_bytes=*/1 << 20, &pool);
 
+  // Each frame then crosses a task input queue the way the pump drains
+  // it: Push, then PopAllInto a batch vector reused across wakeups.
+  common::BlockingQueue<hyracks::FrameMessage> task_input(64);
+  std::vector<hyracks::FrameMessage> batch;
+
   std::vector<hyracks::FramePtr> drained;
   auto pump_one_frame = [&] {
     for (size_t r = 0; r < kRecordsPerFrame; ++r) {
@@ -548,12 +555,18 @@ TEST(ZeroAllocSteadyState, PooledFramePathAllocatesNothingPerFrame) {
     (void)queue.NextBatchInto(&drained, /*timeout_ms=*/1000);
     ASSERT_EQ(drained.size(), 1u);
     ASSERT_EQ(drained[0]->record_count(), kRecordsPerFrame);
+    ASSERT_TRUE(task_input.Push(hyracks::FrameMessage::Data(drained[0])));
+    batch.clear();
+    ASSERT_EQ(task_input.PopAllInto(&batch), 1u);
+    ASSERT_EQ(batch[0].frame, drained[0]);
   };
 
   // Warm-up: learn the block size, grow the record vector to capacity,
-  // populate free lists, size the drain scratch vectors.
+  // populate free lists, size the drain scratch vectors and the task
+  // queue's item vector.
   for (int i = 0; i < 64; ++i) pump_one_frame();
   drained.clear();  // drop the last frame so its buffers are pooled
+  batch.clear();
 
   constexpr int kSteadyFrames = 256;
   testing::AllocScope scope;
@@ -570,6 +583,34 @@ TEST(ZeroAllocSteadyState, PooledFramePathAllocatesNothingPerFrame) {
   // Sanity: the steady phase really ran on recycled memory.
   EXPECT_GE(pool.block_hits(), kSteadyFrames);
   EXPECT_GE(pool.vector_hits(), kSteadyFrames);
+}
+
+// A consumer that pops one item at a time and never empties the queue
+// (TweetGen's Channel::Drain, FramePool's free lists) never hits the
+// reset-on-empty path, so only the prefix compaction keeps the item
+// vector from growing with every push. Once warm, a long run of such
+// traffic must allocate nothing.
+TEST(ZeroAllocSteadyState, OneAtATimeConsumerKeepsQueueCapacityBounded) {
+  if (!testing::AllocInterposerActive()) {
+    GTEST_SKIP() << "alloc interposer absent (sanitizer build)";
+  }
+  constexpr int kBacklog = 8;
+  common::BlockingQueue<int> queue;
+  for (int i = 0; i < kBacklog; ++i) ASSERT_TRUE(queue.TryPush(i));
+  int next = kBacklog;
+  int expected = 0;
+  auto cycle = [&] {
+    ASSERT_TRUE(queue.TryPush(next++));
+    std::optional<int> v = queue.TryPop();
+    ASSERT_TRUE(v.has_value());
+    ASSERT_EQ(*v, expected++);  // still FIFO across compactions
+  };
+  for (int i = 0; i < 1000; ++i) cycle();
+
+  testing::AllocScope scope;
+  for (int i = 0; i < 100000; ++i) cycle();
+  EXPECT_ALLOCS_UNDER(scope, 0);
+  EXPECT_EQ(queue.size(), static_cast<size_t>(kBacklog));
 }
 
 }  // namespace

@@ -5,36 +5,32 @@
 //     model the checker implements: relaxed message passing MUST fail
 //     (stale reads are explorable), acquire/release and seq_cst
 //     variants MUST pass, a seq_cst LOAD is not a fence (the plain-MOV
-//     x86 mapping — the exact shape of the EventCount StoreLoad bug).
+//     x86 mapping — the shape of the classic eventcount StoreLoad bug).
 //
-//   * Invariant tests run the repo's real primitives — EventCount,
-//     MpmcQueue, SnapshotPtr, MemGovernor — through small bounded
-//     programs (2-3 threads, a few ops each) and assert
-//     their core guarantees over every explored interleaving:
-//     conservation, no lost wakeup, no waiter-registration leak,
-//     used() <= capacity(), snapshot monotonicity, lease/Disown charge
+//   * Invariant tests run the repo's real lock-free primitives —
+//     SnapshotPtr, MemGovernor — through small bounded programs (2-3
+//     threads, a few ops each) and assert their core guarantees over
+//     every explored interleaving: used() <= capacity(), no wedged
+//     parking reserve, snapshot monotonicity, lease/Disown charge
 //     conservation.
 //
-// The teeth are proven by the modelcheck_regression_* binaries next to
-// this file: each compiles a historical bug back in behind an
-// ASTERIX_MC_BUG_* flag and asserts the checker FINDS it; this suite
-// asserts the clean build passes the same programs.
+// The teeth are proven by the modelcheck_regression_relaxed_unlock
+// binary next to this file: it compiles a historical bug back in behind
+// an ASTERIX_MC_BUG_* flag and asserts the checker FINDS it; this suite
+// asserts the clean build passes the same program.
 //
 // Every check prints "[modelcheck] <name>: explored N schedules (...)"
 // so the CI log doubles as the EXPERIMENTS.md data source.
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/atomic_shim.h"
 #include "common/mem_governor.h"
 #include "common/model_check.h"
-#include "common/mpmc_queue.h"
+#include "common/snapshot_ptr.h"
 #include "common/status.h"
 
 namespace asterix {
@@ -42,11 +38,9 @@ namespace {
 
 using common::Atomic;
 using common::DataCell;
-using common::EventCount;
 using common::MemGovernor;
 using common::MemLease;
 using common::MemPool;
-using common::MpmcQueue;
 using common::SnapshotPtr;
 
 mc::Result RunCheck(const char* name, long budget,
@@ -173,10 +167,9 @@ TEST(ModelLitmus, StoreBufferingSeqCstForbidden) {
 }
 
 // A seq_cst LOAD after a release STORE is not a StoreLoad barrier (both
-// compile to plain MOVs on x86) — the exact shape of the historical
-// EventCount lost-wakeup bug. The checker must expose the r1==r2==0
-// outcome; only a real fence (previous test's seq_cst stores, or
-// NotifyAll's AtomicFence) forbids it.
+// compile to plain MOVs on x86) — the shape of the classic eventcount
+// lost-wakeup bug. The checker must expose the r1==r2==0 outcome; only
+// a real fence (or the previous test's seq_cst stores) forbids it.
 TEST(ModelLitmus, SeqCstLoadIsNotAFence) {
   mc::Result res =
       RunCheck("sb_sc_load_only", 50000, [](mc::Execution& ex) {
@@ -209,131 +202,6 @@ TEST(ModelLitmus, DataCellRaceDetected) {
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("data race"), std::string::npos)
       << res.failure;
-}
-
-// ---- EventCount ------------------------------------------------------
-
-// The prepare/recheck/commit dance against a releasing producer: in no
-// interleaving may the consumer park forever (the NotifyAll fence
-// guarantee). modelcheck_regression_lost_wakeup runs this exact program
-// with the fence compiled out and asserts the checker reports the
-// deadlock.
-TEST(ModelEventCount, NoLostWakeup) {
-  mc::Result res =
-      RunCheck("eventcount_no_lost_wakeup", 100000, [](mc::Execution& ex) {
-        auto ec = std::make_shared<EventCount>();
-        auto ready = std::make_shared<Atomic<int>>(0);
-        ex.Spawn([=] {
-          ready->store(1, std::memory_order_release);
-          ec->NotifyAll();
-        });
-        ex.Spawn([=] {
-          uint64_t epoch = ec->PrepareWait();
-          if (ready->load(std::memory_order_acquire) != 0) {
-            ec->CancelWait();
-            return;
-          }
-          ec->Wait(epoch);
-          MODEL_ASSERT(ready->load(std::memory_order_acquire) == 1);
-        });
-        ex.Join();
-        MODEL_ASSERT(ec->waiters() == 0);
-      });
-  EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
-}
-
-TEST(ModelEventCount, WaitForTimesOutAndDeregisters) {
-  mc::Result res =
-      RunCheck("eventcount_waitfor_timeout", 10000, [](mc::Execution& ex) {
-        auto ec = std::make_shared<EventCount>();
-        ex.Spawn([=] {
-          uint64_t epoch = ec->PrepareWait();
-          bool woken = ec->WaitFor(epoch, std::chrono::milliseconds(1));
-          MODEL_ASSERT(!woken);
-        });
-        ex.Join();
-        MODEL_ASSERT(ec->waiters() == 0);
-      });
-  EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
-  EXPECT_TRUE(res.complete);
-}
-
-// ---- MpmcQueue -------------------------------------------------------
-
-// The full blocking Push x blocking Pop product is combinatorially too
-// large to exhaust (each schedule costs two real thread handshakes per
-// step), so this is a bounded smoke over the first few thousand DFS
-// schedules — the result deliberately reports "(budget)". Complete
-// exploration of the parking machinery itself lives in the EventCount
-// and CloseWakesBlockedConsumer tests.
-TEST(ModelMpmcQueue, SpscPushPopDeliversThroughParking) {
-  mc::Result res =
-      RunCheck("mpmc_spsc_push_pop", 2000, [](mc::Execution& ex) {
-        auto q = std::make_shared<MpmcQueue<int>>(2);
-        ex.Spawn([=] { (void)q->Push(42); });
-        ex.Spawn([=] {
-          std::optional<int> v = q->Pop();
-          MODEL_ASSERT(v.has_value() && *v == 42);
-        });
-        ex.Join();
-        MODEL_ASSERT(q->empty());
-        MODEL_ASSERT(q->consumer_waiters() == 0);
-      });
-  EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
-}
-
-TEST(ModelMpmcQueue, TwoProducerConservation) {
-  mc::Result res =
-      RunCheck("mpmc_two_producer_conservation", 200000,
-               [](mc::Execution& ex) {
-                 auto q = std::make_shared<MpmcQueue<int>>(2);
-                 auto ok1 = std::make_shared<bool>(false);
-                 auto ok2 = std::make_shared<bool>(false);
-                 ex.Spawn([=] { *ok1 = q->TryPush(1); });
-                 ex.Spawn([=] { *ok2 = q->TryPush(2); });
-                 ex.Join();
-                 // Capacity 2: neither push may fail or vanish.
-                 MODEL_ASSERT(*ok1 && *ok2);
-                 std::vector<int> drained = q->TryPopAll();
-                 MODEL_ASSERT(drained.size() == 2);
-                 MODEL_ASSERT(drained[0] + drained[1] == 3);
-                 MODEL_ASSERT(q->empty());
-               });
-  EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
-}
-
-TEST(ModelMpmcQueue, CloseWakesBlockedConsumer) {
-  mc::Result res =
-      RunCheck("mpmc_close_wakes_consumer", 200000, [](mc::Execution& ex) {
-        auto q = std::make_shared<MpmcQueue<int>>(2);
-        ex.Spawn([=] { q->Close(); });
-        ex.Spawn([=] {
-          std::optional<int> v = q->Pop();
-          MODEL_ASSERT(!v.has_value());
-        });
-        ex.Join();
-        MODEL_ASSERT(q->consumer_waiters() == 0);
-      });
-  EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
-}
-
-// The expired-deadline branch of PopFor must release its PrepareWait
-// registration (the historical waiter leak: a leaked count pessimizes
-// every future NotifyAll into taking the parking mutex).
-// modelcheck_regression_waiter_leak re-leaks it and must be caught.
-TEST(ModelMpmcQueue, PopForExpiredDeadlineReleasesRegistration) {
-  mc::Result res = RunCheck(
-      "mpmc_popfor_expired_deadline", 10000, [](mc::Execution& ex) {
-        auto q = std::make_shared<MpmcQueue<int>>(2);
-        ex.Spawn([=] {
-          std::optional<int> v = q->PopFor(std::chrono::milliseconds(0));
-          MODEL_ASSERT(!v.has_value());
-        });
-        ex.Join();
-        MODEL_ASSERT(q->consumer_waiters() == 0);
-      });
-  EXPECT_TRUE(res.ok) << res.failure << "\n" << res.trace;
-  EXPECT_TRUE(res.complete);
 }
 
 // ---- SnapshotPtr -----------------------------------------------------

@@ -5,14 +5,15 @@
 // shared_ptr, which the checker must report as a data race on the
 // pointer cell. Exit 0 iff found.
 //
-// Links ONLY {this file, model_check.cc} — see modelcheck_lost_wakeup.cc
-// for why (header-inline mutation vs the linker's symbol choice).
+// Deliberately links ONLY {this file, model_check.cc}: SnapshotPtr is
+// header-inline, so any other object compiled without the bug flag would
+// hand the linker an unmutated copy of the same symbols.
 
 #include <cstdio>
 #include <memory>
 
 #include "common/model_check.h"
-#include "common/mpmc_queue.h"
+#include "common/snapshot_ptr.h"
 
 int main() {
   using asterix::common::SnapshotPtr;

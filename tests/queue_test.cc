@@ -1,12 +1,12 @@
-// Property and stress tests for the lock-free data-plane queues
-// (common/mpmc_queue.h): conservation under multi-writer/multi-reader
-// load, capacity backpressure, batch-API semantics parity with
-// BlockingQueue, and parking behaviour.
+// Property and stress tests for common::BlockingQueue, the one queue type
+// (common/blocking_queue.h), as the task pump drives it: conservation
+// under multi-writer/multi-reader load, per-producer order, capacity
+// back-pressure, Close semantics and the batched PopAllInto drain. Also
+// covers common::SnapshotPtr (common/snapshot_ptr.h).
 // The whole file runs under the tsan-chaos preset (see CMakePresets.json)
 // so every interleaving claim here is also a ThreadSanitizer claim.
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
@@ -15,27 +15,35 @@
 
 #include "common/blocking_queue.h"
 #include "common/clock.h"
-#include "common/mpmc_queue.h"
 #include "common/rng.h"
+#include "common/snapshot_ptr.h"
 #include "testing_util.h"
 
 namespace asterix {
 namespace {
 
-using common::EventCount;
-using common::MpmcQueue;
+using common::BlockingQueue;
 
-TEST(MpmcQueue, CapacityRoundsUpToPowerOfTwo) {
-  MpmcQueue<int> q3(3);
-  EXPECT_EQ(q3.capacity(), 4u);
-  MpmcQueue<int> q4(4);
-  EXPECT_EQ(q4.capacity(), 4u);
-  MpmcQueue<int> q0(0);
-  EXPECT_GE(q0.capacity(), 2u);
+// Drains with PopAllInto until the queue is closed and drained.
+std::vector<int> DrainUntilClosed(BlockingQueue<int>& q) {
+  std::vector<int> all;
+  std::vector<int> batch;
+  for (;;) {
+    batch.clear();
+    if (q.PopAllInto(&batch) == 0) return all;
+    all.insert(all.end(), batch.begin(), batch.end());
+  }
 }
 
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<int> q(8);
+TEST(BlockingQueue, CapacityIsExact) {
+  BlockingQueue<int> q(3);
+  EXPECT_EQ(q.capacity(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.TryPush(i));
+  EXPECT_FALSE(q.TryPush(3));
+}
+
+TEST(BlockingQueue, FifoSingleThread) {
+  BlockingQueue<int> q(8);
   for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.TryPush(i));
   for (int i = 0; i < 8; ++i) {
     auto v = q.TryPop();
@@ -45,37 +53,8 @@ TEST(MpmcQueue, FifoSingleThread) {
   EXPECT_FALSE(q.TryPop().has_value());
 }
 
-TEST(MpmcQueue, TryPushFailsWhenFullAndLeavesItemIntact) {
-  MpmcQueue<std::string> q(2);
-  EXPECT_TRUE(q.TryPush("a"));
-  EXPECT_TRUE(q.TryPush("b"));
-  std::string c = "c";
-  EXPECT_FALSE(q.TryPushFrom(c));
-  EXPECT_EQ(c, "c");  // not consumed on failure
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(MpmcQueue, TryPushNPushesLongestPrefix) {
-  MpmcQueue<int> q(4);
-  std::vector<int> items = {1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(q.TryPushN(items.data(), items.size()), 4u);
-  std::vector<int> drained = q.TryPopAll();
-  EXPECT_EQ(drained, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(MpmcQueue, PopAllBoundedHonoursMax) {
-  MpmcQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.TryPush(i));
-  std::vector<int> first = q.PopAllBounded(3);
-  EXPECT_EQ(first, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.size(), 7u);
-  std::vector<int> rest = q.PopAllBounded(SIZE_MAX);
-  EXPECT_EQ(rest.size(), 7u);
-  EXPECT_EQ(rest.front(), 3);
-}
-
-TEST(MpmcQueue, CloseUnblocksAndDrains) {
-  MpmcQueue<int> q(4);
+TEST(BlockingQueue, CloseUnblocksAndDrains) {
+  BlockingQueue<int> q(4);
   EXPECT_TRUE(q.TryPush(7));
   q.Close();
   EXPECT_FALSE(q.TryPush(8));  // push refused after close
@@ -83,11 +62,13 @@ TEST(MpmcQueue, CloseUnblocksAndDrains) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 7);
   EXPECT_FALSE(q.Pop().has_value());  // closed + drained -> nullopt
-  EXPECT_TRUE(q.PopAll().empty());    // and PopAll agrees
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopAllInto(&batch), 0u);  // and PopAllInto agrees
+  EXPECT_TRUE(batch.empty());
 }
 
-TEST(MpmcQueue, PopBlocksUntilPush) {
-  MpmcQueue<int> q(4);
+TEST(BlockingQueue, PopBlocksUntilPush) {
+  BlockingQueue<int> q(4);
   std::thread later = testing::After(50, [&] { ASSERT_TRUE(q.Push(42)); });
   auto v = q.Pop();  // must park, then wake on the push
   ASSERT_TRUE(v.has_value());
@@ -95,8 +76,10 @@ TEST(MpmcQueue, PopBlocksUntilPush) {
   later.join();
 }
 
-TEST(MpmcQueue, PushBlocksUntilPopMakesRoom) {
-  MpmcQueue<int> q(2);
+// Back-pressure as the pump sees it: a producer blocked on a full queue
+// is released by one batched drain.
+TEST(BlockingQueue, PushBlocksUntilDrainMakesRoom) {
+  BlockingQueue<int> q(2);
   EXPECT_TRUE(q.TryPush(1));
   EXPECT_TRUE(q.TryPush(2));
   std::atomic<bool> pushed{false};
@@ -105,45 +88,48 @@ TEST(MpmcQueue, PushBlocksUntilPopMakesRoom) {
     pushed.store(true);
   });
   EXPECT_TRUE(testing::StaysFalseFor([&] { return pushed.load(); }, 100));
-  EXPECT_EQ(q.Pop().value_or(-1), 1);  // frees a slot
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopAllInto(&batch), 2u);  // frees both slots
+  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
   EXPECT_TRUE(testing::WaitFor([&] { return pushed.load(); }, 2000));
   producer.join();
-  std::vector<int> rest = q.TryPopAll();
-  EXPECT_EQ(rest, (std::vector<int>{2, 3}));
+  EXPECT_EQ(q.TryPopAll(), (std::vector<int>{3}));
 }
 
-TEST(MpmcQueue, PopForTimesOutEmpty) {
-  MpmcQueue<int> q(4);
+TEST(BlockingQueue, PopForTimesOutEmpty) {
+  BlockingQueue<int> q(4);
   EXPECT_FALSE(q.PopFor(std::chrono::milliseconds(30)).has_value());
-  EXPECT_TRUE(q.PopAllFor(std::chrono::milliseconds(30)).empty());
 }
 
-// A timed pop whose deadline has already passed takes the short-circuit
-// branch where WaitFor never runs; the PrepareWait registration must
-// still be released, or waiters_ creeps up forever and every later
-// NotifyAll needlessly takes the parking mutex.
-TEST(MpmcQueue, ExpiredDeadlineTimedPopsLeaveNoWaiterRegistration) {
-  MpmcQueue<int> q(4);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(q.PopFor(std::chrono::milliseconds(0)).has_value());
-    EXPECT_TRUE(q.PopAllFor(std::chrono::milliseconds(0)).empty());
-  }
-  EXPECT_EQ(q.consumer_waiters(), 0u);
-  EXPECT_TRUE(q.TryPush(1));  // queue still fully functional
-  EXPECT_EQ(q.TryPop().value_or(-1), 1);
+// PopAllInto blocks while empty, drains everything queued once data
+// arrives (appending to what the caller already holds), and returns 0
+// only when closed and drained.
+TEST(BlockingQueue, PopAllIntoBlocksThenDrainsEverything) {
+  BlockingQueue<int> q(64);
+  std::thread later = testing::After(30, [&] {
+    ASSERT_TRUE(q.Push(1));
+    ASSERT_TRUE(q.Push(2));
+  });
+  std::vector<int> batch = {0};
+  size_t appended = q.PopAllInto(&batch);
+  later.join();
+  // One or both, depending on when the consumer wakes — but never none.
+  ASSERT_GE(appended, 1u);
+  EXPECT_EQ(batch.size(), 1 + appended);
+  std::vector<int> rest = q.TryPopAll();
+  batch.insert(batch.end(), rest.begin(), rest.end());
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
+  q.Close();
+  EXPECT_EQ(q.PopAllInto(&batch), 0u);
 }
 
-// Close() publishes closed_ with a release store and must never lose the
-// wakeup race against consumers that are concurrently parking: the fence
-// in NotifyAll guarantees the notifier either sees the registered waiter
-// or the waiter's recheck sees closed_. A lost wakeup hangs the joins
-// (under TSan the spin budget is zero, so consumers park immediately and
-// the window is widest there).
-TEST(MpmcQueue, CloseRacesParkingConsumersWithoutLostWakeup) {
+// Close() must wake consumers parked in Pop and in PopAllInto; a lost
+// wakeup hangs the joins.
+TEST(BlockingQueue, CloseWakesParkedConsumers) {
   for (int i = 0; i < 200; ++i) {
-    MpmcQueue<int> q(4);
+    BlockingQueue<int> q(4);
     std::thread popper([&] { EXPECT_FALSE(q.Pop().has_value()); });
-    std::thread drainer([&] { EXPECT_TRUE(q.PopAll().empty()); });
+    std::thread drainer([&] { EXPECT_TRUE(DrainUntilClosed(q).empty()); });
     q.Close();
     popper.join();
     drainer.join();
@@ -152,14 +138,14 @@ TEST(MpmcQueue, CloseRacesParkingConsumersWithoutLostWakeup) {
 
 // The core property: with P producers each pushing K distinct values and
 // C consumers draining, every value is seen exactly once — no loss, no
-// duplication, no invention. Seeded and repeated so slot reuse (the ABA
-// seam the per-slot sequence counters exist for) gets exercised: K is a
-// large multiple of the tiny capacity.
-TEST(MpmcQueue, MultiWriterMultiReaderConservation) {
+// duplication, no invention. K is a large multiple of the tiny capacity,
+// so producers block constantly and the item vector is reset and reused
+// on every drain.
+TEST(BlockingQueue, MultiWriterMultiReaderConservation) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 2;
   constexpr int kPerProducer = 2000;
-  MpmcQueue<int> q(16);  // tiny on purpose: maximal wrap-around pressure
+  BlockingQueue<int> q(16);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
@@ -171,13 +157,7 @@ TEST(MpmcQueue, MultiWriterMultiReaderConservation) {
   std::vector<std::vector<int>> seen(kConsumers);
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&q, &seen, c] {
-      for (;;) {
-        std::vector<int> batch = q.PopAll();
-        if (batch.empty()) return;  // closed and drained
-        seen[c].insert(seen[c].end(), batch.begin(), batch.end());
-      }
-    });
+    consumers.emplace_back([&q, &seen, c] { seen[c] = DrainUntilClosed(q); });
   }
   for (auto& t : producers) t.join();
   q.Close();
@@ -195,13 +175,12 @@ TEST(MpmcQueue, MultiWriterMultiReaderConservation) {
   EXPECT_EQ(*all.rbegin(), kProducers * kPerProducer - 1);
 }
 
-// Per-consumer pop order must preserve each producer's push order
-// (linearizable FIFO per ticket): with a single consumer, the subsequence
-// of any one producer's values is strictly increasing.
-TEST(MpmcQueue, PerProducerOrderPreserved) {
+// With a single consumer, the subsequence of any one producer's values is
+// strictly increasing: the queue preserves each producer's push order.
+TEST(BlockingQueue, PerProducerOrderPreserved) {
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 1500;
-  MpmcQueue<int> q(8);
+  BlockingQueue<int> q(8);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
@@ -211,56 +190,18 @@ TEST(MpmcQueue, PerProducerOrderPreserved) {
     });
   }
   std::vector<int> order;
-  std::thread consumer([&] {
-    for (;;) {
-      std::vector<int> batch = q.PopAll();
-      if (batch.empty()) return;
-      order.insert(order.end(), batch.begin(), batch.end());
-    }
-  });
+  std::thread consumer([&] { order = DrainUntilClosed(q); });
   for (auto& t : producers) t.join();
   q.Close();
   consumer.join();
 
+  ASSERT_EQ(order.size(), static_cast<size_t>(kProducers) * kPerProducer);
   std::vector<int> last(kProducers, -1);
   for (int v : order) {
     int p = v / kPerProducer;
     EXPECT_LT(last[p], v % kPerProducer);
     last[p] = v % kPerProducer;
   }
-}
-
-TEST(EventCount, NotifyWakesWaiter) {
-  EventCount ec;
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    uint64_t epoch = ec.PrepareWait();
-    ec.Wait(epoch);
-    woke.store(true);
-  });
-  // NotifyAll may race the PrepareWait; keep signalling until the waiter
-  // confirms — the Dekker protocol guarantees no lost-wakeup once
-  // PrepareWait published the waiter count.
-  EXPECT_TRUE(testing::WaitFor(
-      [&] {
-        ec.NotifyAll();
-        return woke.load();
-      },
-      2000));
-  waiter.join();
-}
-
-TEST(EventCount, CancelWaitLeavesNoWaiters) {
-  EventCount ec;
-  (void)ec.PrepareWait();
-  ec.CancelWait();
-  ec.NotifyAll();  // must not hang or touch freed state
-}
-
-TEST(EventCount, WaitForTimesOut) {
-  EventCount ec;
-  uint64_t epoch = ec.PrepareWait();
-  EXPECT_FALSE(ec.WaitFor(epoch, std::chrono::milliseconds(20)));
 }
 
 TEST(SnapshotPtr, LoadReturnsInitialAndStoredValues) {
@@ -304,73 +245,46 @@ TEST(SnapshotPtr, ConcurrentLoadStoreYieldsConsistentSnapshots) {
   EXPECT_EQ(p.load()->a, 2000);
 }
 
-// Batching parity with BlockingQueue::PopAll: blocks while empty, drains
-// everything queued once data arrives, returns empty only when closed and
-// drained. Run against both queues through one templated body.
-template <typename Queue>
-void PopAllParityBody(Queue& q) {
-  std::thread later = testing::After(30, [&] {
-    ASSERT_TRUE(q.Push(1));
-    ASSERT_TRUE(q.Push(2));
-  });
-  std::vector<int> batch = q.PopAll();
-  later.join();
-  // One or both, depending on when the consumer wakes — but never empty.
-  ASSERT_FALSE(batch.empty());
-  std::vector<int> rest = q.TryPopAll();
-  batch.insert(batch.end(), rest.begin(), rest.end());
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-  q.Close();
-  EXPECT_TRUE(q.PopAll().empty());
-}
-
-TEST(QueueParity, PopAllBlockingQueue) {
-  common::BlockingQueue<int> q(64);
-  PopAllParityBody(q);
-}
-
-TEST(QueueParity, PopAllMpmcQueue) {
-  MpmcQueue<int> q(64);
-  PopAllParityBody(q);
-}
-
-// tsan soak: sustained mixed traffic (non-blocking pushes, batched timed
-// pops) from several producers and consumers at once. The assertions
-// are weak on purpose — the point is the interleavings ThreadSanitizer
-// gets to observe when the tsan-chaos preset runs this suite.
+// tsan soak: sustained mixed traffic (non-blocking pushes, batched
+// blocking drains) from several producers and consumers at once. The
+// assertions are weak on purpose — the point is the interleavings
+// ThreadSanitizer gets to observe when the tsan-chaos preset runs this
+// suite.
 TEST(QueueSoak, MixedTrafficUnderContention) {
   constexpr int kSeconds = 2;
-  MpmcQueue<int> mpmc(32);
+  BlockingQueue<int> q(32);
   std::atomic<bool> stop{false};
   std::atomic<int64_t> pushed{0}, popped{0};
 
-  std::vector<std::thread> threads;
+  std::vector<std::thread> producers;
   for (int p = 0; p < 3; ++p) {
-    threads.emplace_back([&, p] {
+    producers.emplace_back([&, p] {
       common::Rng rng(100 + p);
       int i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        if (mpmc.TryPush(i)) pushed.fetch_add(1, std::memory_order_relaxed);
+        if (q.TryPush(i)) pushed.fetch_add(1, std::memory_order_relaxed);
         if (rng.Chance(0.1)) common::SleepMicros(50);
         ++i;
       }
     });
   }
+  std::vector<std::thread> consumers;
   for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        popped.fetch_add(
-            static_cast<int64_t>(
-                mpmc.PopAllFor(std::chrono::milliseconds(5)).size()),
-            std::memory_order_relaxed);
+    consumers.emplace_back([&] {
+      std::vector<int> batch;
+      for (;;) {
+        batch.clear();
+        size_t n = q.PopAllInto(&batch);
+        if (n == 0) return;  // closed and drained
+        popped.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
       }
     });
   }
   common::SleepMillis(kSeconds * 1000);
   stop.store(true);
-  for (auto& t : threads) t.join();
-  popped.fetch_add(static_cast<int64_t>(mpmc.TryPopAll().size()),
-                   std::memory_order_relaxed);
+  for (auto& t : producers) t.join();
+  q.Close();
+  for (auto& t : consumers) t.join();
   EXPECT_EQ(pushed.load(), popped.load());  // conservation after drain
   EXPECT_GT(pushed.load(), 0);
 }

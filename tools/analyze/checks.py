@@ -88,37 +88,6 @@ class MutexIndex:
             cls_last = m.cls.rsplit("::")[-1] if m.cls else ""
             self.by_cls_name[(cls_last, m.name)] = m
             self.by_name.setdefault(m.name, []).append(m)
-        self.injected_ranks = self._find_injected_ranks(program)
-
-    def _find_injected_ranks(self, program):
-        """Ranks observed at construction sites of rank-injected classes
-        (BlockingQueue and friends): scan every statement mentioning the
-        class name for LockRank::k* tokens."""
-        injected_classes = {k.split("::")[0]
-                            for k in config.CTOR_INJECTED_DEFAULTS}
-        # Construction sites name the class (field/local declarations) OR
-        # only the field (constructor-initializer lists) — trigger on both.
-        triggers = {c: c for c in injected_classes}
-        for cls_fields in program.fields.values():
-            for f in cls_fields:
-                for c in injected_classes:
-                    if c in f.type_str:
-                        triggers[f.name] = c
-        found = {c: set() for c in injected_classes}
-        for path, toks in program.files.items():
-            code = [t for t in toks if t.kind not in (COMMENT, "pp")]
-            for i, t in enumerate(code):
-                if t.kind == ID and t.text in triggers:
-                    cls = triggers[t.text]
-                    j = i + 1
-                    while j < len(code) and code[j].text != ";" \
-                            and j - i <= 120:
-                        if code[j].kind == ID and code[j].text == "LockRank" \
-                                and j + 2 < len(code) \
-                                and code[j + 1].text == "::":
-                            found[cls].add(code[j + 2].text)
-                        j += 1
-        return found
 
     def resolve(self, fn, expr):
         """MutexDecl for an acquisition expression, or None."""
@@ -149,22 +118,9 @@ class MutexIndex:
         return None
 
     def ranks_of(self, decl):
-        """Possible rank names for a declaration (a set: injected mutexes
-        are widened over every observed construction rank)."""
-        key = f"{decl.cls.rsplit('::')[-1]}::{decl.name}" if decl.cls \
-            else decl.name
-        if decl.injected or (not decl.rank
-                             and key in config.CTOR_INJECTED_DEFAULTS):
-            out = set()
-            default = config.CTOR_INJECTED_DEFAULTS.get(key)
-            if default:
-                out.add(default)
-            cls = key.split("::")[0]
-            out |= self.injected_ranks.get(cls, set())
-            return out
-        if decl.rank:
-            return {decl.rank}
-        return set()
+        """Rank names of a declaration: its brace-initialized rank, or none
+        for an unranked mutex."""
+        return {decl.rank} if decl.rank else set()
 
 
 # ==========================================================================
@@ -401,7 +357,7 @@ def check_blocking(program, opts):
             return None
         ftype = program.field_type(fn.cls, call.receiver) if fn.cls else None
         if ftype is not None and "CondVar" not in ftype:
-            return None  # typed receiver that is not a condvar (EventCount)
+            return None  # typed receiver that is not a condvar
         args = _call_args(fn, call)
         if ftype is None and not args:
             return None

@@ -25,13 +25,6 @@ UNACQUIRED_RANK_ALLOWLIST = {
                  "lint, used only by tests/examples",
 }
 
-# Mutexes whose rank is injected through a constructor parameter. The
-# static graph widens them to every rank observed at a construction site
-# (plus the declared default) — a sound over-approximation.
-CTOR_INJECTED_DEFAULTS = {
-    "BlockingQueue::mutex_": "kBlockingQueue",
-}
-
 # --------------------------------------------------------------------------
 # Check 2 — blocking-under-lock
 # --------------------------------------------------------------------------
@@ -40,9 +33,9 @@ CTOR_INJECTED_DEFAULTS = {
 # wait-protocol exemption for the mutex they release; everything else is
 # a finding when any lock is held.
 BLOCKING_OPS = {
-    "Wait", "WaitFor", "WaitUntil",            # CondVar / EventCount
+    "Wait", "WaitFor", "WaitUntil",            # CondVar
     "ReserveFor",                               # MemPool parking reserve
-    "PopFor", "PopAllFor", "PushFor",           # BlockingQueue timed ops
+    "PopFor",                                   # BlockingQueue timed pop
     "sleep_for", "sleep_until", "SleepMillis", "SleepMicros",
     "join",                                     # thread join
     "fopen", "fclose", "fread", "fwrite", "fseek", "ftell", "fflush",
@@ -168,9 +161,10 @@ HOT_PRUNE = {
 # Files whose allocation behavior is proven elsewhere, or that only exist
 # in non-production builds.
 HOT_FILE_ALLOWLIST = {
-    "src/common/mpmc_queue.h":
-        "zero-alloc steady state is pinned by bench ZeroAllocSteadyState "
-        "and explored by the model checker (PR 7/9)",
+    "src/common/blocking_queue.h":
+        "the items vector and a PopAllInto caller's batch vector keep their "
+        "capacity across drains; mem_test ZeroAllocSteadyState moves every "
+        "frame through Push + PopAllInto and asserts 0 allocations",
     "src/common/model_check.h":
         "ASTERIX_MODEL_CHECK builds only: the checker engine may allocate; "
         "production builds alias common::Atomic to std::atomic",
@@ -185,7 +179,7 @@ HOT_FILE_ALLOWLIST = {
 # Files exempt from per-site relaxed justifications (carried over from the
 # retired regex lint; the justification lives at file scope there).
 MEM_ORDER_FILE_ALLOWLIST = {
-    "src/common/mpmc_queue.h",
+    "src/common/snapshot_ptr.h",
     "src/common/atomic_shim.h",
     "src/common/model_check.h",
     "src/common/model_check.cc",
@@ -201,5 +195,4 @@ SELF_SYNC_TYPES = (
     "Mutex", "CondVar", "std::thread", "std::jthread", "MetricsRegistry",
     "common::Counter", "common::Gauge", "common::Histogram",
     "Counter", "Gauge", "Histogram", "BlockingQueue", "common::BlockingQueue",
-    "MpmcQueue", "common::MpmcQueue", "EventCount", "common::EventCount",
 )

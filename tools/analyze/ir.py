@@ -116,8 +116,7 @@ class MutexDecl:
     cls: str            # "" => namespace scope
     name: str
     kind: str           # "Mutex" | "SharedMutex"
-    rank: str           # "kSubscriberQueue" | "" (ctor-injected)
-    injected: bool      # LOCK-RANK: comment present
+    rank: str           # "kSubscriberQueue" | "" (unranked)
     file: str
     line: int
 
@@ -429,12 +428,10 @@ def _parse_field_segment(seg, cls, fname, comments_by_line):
             after = init.split("LockRank")[-1]
             rank = after.strip(":").split(",")[0].split(")")[0] \
                 .split("}")[0].strip(": ")
-        injected = any("LOCK-RANK:" in c
-                       for c in comments_by_line.get(line, []))
         return MutexDecl(cls=cls, name=name,
                          kind="SharedMutex" if "Shared" in base_type
                          else "Mutex",
-                         rank=rank, injected=injected, file=fname, line=line)
+                         rank=rank, file=fname, line=line)
 
     if init_start is not None and stripped[init_start].text == "(" :
         return None  # method prototype

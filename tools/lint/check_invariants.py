@@ -22,20 +22,19 @@ Checks, each with a stable ID used in failure output:
               and the deadlock detector (which cannot instrument itself),
               so every lock is an annotated common::Mutex
   LOCK-RANK   every common::Mutex/SharedMutex construction in src/ names
-              a LockRank in its brace initializer, or carries a
-              `LOCK-RANK:` comment naming where the rank is injected
-              (constructor-parameterised locks like BlockingQueue's)
+              a LockRank in its brace initializer
   RANK-README the README "Lock ranking" table lists exactly the ranks in
               src/common/lock_rank.h, with matching numeric values (same
               mechanism as the failpoint-site table)
-  RANK-EXEMPT the lock-free data plane (src/common/mpmc_queue.h) is
+  RANK-EXEMPT the lock-bit snapshot slot (src/common/snapshot_ptr.h) is
               rank-exempt by design — the README "Data plane" section
               must exist and document the exemption, so the rank table's
               completeness claim stays honest
-  SPIN-PARK   no raw atomic spin loops outside src/common/mpmc_queue.h:
+  SPIN-PARK   no raw atomic spin loops outside src/common/snapshot_ptr.h
+              (and the atomic shim's SpinWaitWhile it uses):
               std::this_thread::yield and empty-body `while (x.load())`
               busy-waits are banned in src/ — waiters must park on a
-              CondVar or the queues' EventCount, not burn a core
+              CondVar, not burn a core
   MEM-POOL    every MemPool TryReserve/TryLease call site in src/ must
               consume the returned Status (assign it, test it, or return
               it) — the admission verdict is the whole point of asking
@@ -86,11 +85,11 @@ MUTEX_DECL = re.compile(
 
 LOCK_RANK_ENTRY = re.compile(r"^\s*k(\w+)\s*=\s*(\d+),")
 
-# The one place raw spin loops are legitimate: the lock-free queues, whose
-# bounded spins always fall back to EventCount parking — plus the model
+# The one place raw spin loops are legitimate: SnapshotPtr's lock bit,
+# held only for one shared_ptr refcount operation — plus the model
 # build's SpinWaitWhile shim, which routes the same spin to the checker.
 SPIN_ALLOWLIST = {
-    "src/common/mpmc_queue.h",
+    "src/common/snapshot_ptr.h",
     "src/common/atomic_shim.h",
 }
 
@@ -216,8 +215,8 @@ class Linter:
 
     # --- spin loops ---------------------------------------------------------
     def check_spin_park(self):
-        """Raw busy-wait loops are confined to the lock-free queue header
-        (whose spins are bounded and fall back to EventCount parking).
+        """Raw busy-wait loops are confined to the snapshot slot header
+        (whose one spin is bounded by a refcount operation).
         Heuristics: any std::this_thread::yield — the signature of a
         spin-wait — and any empty-body `while (<atomic>.load...)`."""
         empty_spin = re.compile(r"while\s*\([^)]*\.load\([^)]*\)[^)]*\)\s*"
@@ -232,12 +231,12 @@ class Linter:
                 if "std::this_thread::yield" in code:
                     self.fail("SPIN-PARK", f"{self.rel(path)}:{i}",
                               "raw spin loop (yield busy-wait): park on a "
-                              "CondVar or common::EventCount instead — spin "
-                              "loops live only in common/mpmc_queue.h")
+                              "CondVar instead — spin loops live only in "
+                              "common/snapshot_ptr.h")
                 elif empty_spin.search(code.strip()):
                     self.fail("SPIN-PARK", f"{self.rel(path)}:{i}",
                               "empty-body atomic busy-wait: park on a "
-                              "CondVar or common::EventCount instead")
+                              "CondVar instead")
 
         # The rank exemption the spin allowlist leans on must be documented:
         # README "Data plane" section names the header and says rank-exempt.
@@ -246,22 +245,21 @@ class Linter:
                       re.MULTILINE | re.DOTALL)
         if not m:
             self.fail("RANK-EXEMPT", "README.md",
-                      "no '## Data plane' section documenting the lock-free "
-                      "queues' rank exemption")
+                      "no '## Data plane' section documenting "
+                      "SnapshotPtr's rank exemption")
         else:
             section = m.group(1)
             if "rank-exempt" not in section or \
-                    "src/common/mpmc_queue.h" not in section:
+                    "src/common/snapshot_ptr.h" not in section:
                 self.fail("RANK-EXEMPT", "README.md",
                           "the 'Data plane' section must name "
-                          "src/common/mpmc_queue.h and the word "
+                          "src/common/snapshot_ptr.h and the word "
                           "'rank-exempt' (keep the exemption documented)")
 
     # --- lock ranks ---------------------------------------------------------
     def check_lock_ranks(self):
         """Every Mutex/SharedMutex construction in src/ must name its
-        LockRank inline, or carry a `LOCK-RANK:` comment pointing at the
-        constructor that injects it."""
+        LockRank inline."""
         for path in sorted((self.root / "src").rglob("*")):
             if path.suffix not in (".h", ".cc"):
                 continue
@@ -274,14 +272,10 @@ class Linter:
                 if "LockRank" in init:
                     continue
                 line_no = text.count("\n", 0, m.start()) + 1
-                decl_line = text.splitlines()[line_no - 1]
-                if "LOCK-RANK:" in decl_line:
-                    continue  # rank injected via constructor parameter
                 self.fail(
                     "LOCK-RANK", f"{self.rel(path)}:{line_no}",
                     f"mutex '{m.group(1)}' constructed without a LockRank "
-                    "(brace-initialize with common::LockRank::k..., or add "
-                    "a `LOCK-RANK:` comment naming the injecting ctor)")
+                    "(brace-initialize with common::LockRank::k...)")
 
         # README rank table <-> enum lockstep.
         enum = {}
