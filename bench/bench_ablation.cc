@@ -1,6 +1,6 @@
 // Ablation microbenchmarks (google-benchmark) for the design choices
 // DESIGN.md calls out:
-//   1. feed joint short-circuit vs shared mode (Data Bucket overhead),
+//   1. feed joint fan-out cost per subscriber,
 //   2. frame size (records per frame) on the joint delivery path,
 //   3. ack grouping window (messages saved by grouping, §5.6),
 //   4. the storage write path (LSM insert, WAL append),
@@ -29,8 +29,9 @@ FramePtr SampleFrame(int records) {
   return MakeFrame(std::move(batch));
 }
 
-/// Ablation 1: joint delivery with N subscribers (1 = short-circuit,
-/// no Data Bucket; >1 = shared mode with refcounted buckets).
+/// Ablation 1: joint delivery with N subscribers. Every subscriber gets
+/// its own FramePtr reference, so the cost grows with N by one queue
+/// hand-off (and one refcount bump) per subscriber.
 void BM_JointDelivery(benchmark::State& state) {
   int subscribers = static_cast<int>(state.range(0));
   feeds::FeedJoint joint("bench");
@@ -48,7 +49,7 @@ void BM_JointDelivery(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel(subscribers == 1 ? "short-circuit" : "shared/buckets");
+  state.SetLabel(subscribers == 1 ? "one subscriber" : "fan-out");
 }
 BENCHMARK(BM_JointDelivery)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 

@@ -126,7 +126,7 @@ FramePathResult RunFramePath(bool pooled, size_t records) {
   struct QueueWriter : hyracks::IFrameWriter {
     feeds::SubscriberQueue* queue = nullptr;
     common::Status NextFrame(const hyracks::FramePtr& frame) override {
-      queue->Deliver(frame, nullptr);
+      queue->Deliver(frame);
       return common::Status::OK();
     }
   };

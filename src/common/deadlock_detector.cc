@@ -26,7 +26,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kCollectSink: return "kCollectSink";
     case LockRank::kNodeController: return "kNodeController";
     case LockRank::kClusterController: return "kClusterController";
-    case LockRank::kBucketPool: return "kBucketPool";
     case LockRank::kSubscriberQueue: return "kSubscriberQueue";
     case LockRank::kFeedJoint: return "kFeedJoint";
     case LockRank::kIntervalCounter: return "kIntervalCounter";
@@ -143,8 +142,8 @@ bool FindPath(uint16_t from, uint16_t to, std::set<uint16_t>* seen,
                  "acquiring %s (rank %u) at %s:%u\n"
                  "while holding %s (rank %u) acquired at %s:%u\n"
                  "lock ranks must strictly decrease along every "
-                 "acquisition chain\n(see src/common/lock_rank.h and the "
-                 "README rank table).\n",
+                 "acquisition chain\n(see the rank table in "
+                 "src/common/lock_rank.h).\n",
                  LockRankName(acquiring), Id(acquiring), loc.file_name(),
                  static_cast<uint32_t>(loc.line()),
                  LockRankName(conflicting.rank), Id(conflicting.rank),

@@ -14,8 +14,11 @@
 //       <  baseline (500-599)
 //
 // with explicit intra-layer ranks for the chains that actually nest
-// (joint -> subscriber queue -> bucket pool; ack collector -> ack bus /
-// pending tracker; metrics provider callbacks -> pipeline objects).
+// (joint -> subscriber queue; ack collector -> ack bus / pending tracker;
+// metrics provider callbacks -> pipeline objects).
+//
+// This enum is the one rank table: each enumerator's comment says what
+// its mutex protects. The README states the rule and points here.
 //
 // Three enforcement mechanisms consume this enum:
 //   * the debug runtime checker (common/deadlock_detector.h, compiled in
@@ -24,13 +27,12 @@
 //   * Clang Thread Safety Analysis ACQUIRED_BEFORE/ACQUIRED_AFTER
 //     annotations (the `analyze` preset adds -Wthread-safety-beta) check
 //     the declared intra-class orderings at compile time;
-//   * tools/lint/check_invariants.py (LOCK-RANK / RANK-README) requires
-//     every Mutex/SharedMutex construction in src/ to name a rank and
-//     keeps the README rank table in lockstep with this enum.
+//   * tools/lint/check_invariants.py (LOCK-RANK) requires every
+//     Mutex/SharedMutex construction in src/ to name a rank.
 //
 // Adding a mutex? Pick the band of its layer, give it a value that
-// reflects where it sits in real acquisition chains (inner = lower), add
-// it to LockRankName() and to the README "Lock ranking" table.
+// reflects where it sits in real acquisition chains (inner = lower),
+// comment what it protects, and add it to LockRankName().
 #pragma once
 
 #include <cstdint>
@@ -71,7 +73,6 @@ enum class LockRank : uint16_t {
   kClusterController = 340,// cluster node/job/listener maps
 
   // ---- feeds (400-499): joint -> subscriber -> ack chains ----
-  kBucketPool = 410,       // DataBucketPool free list
   kSubscriberQueue = 420,  // per-subscriber excess-record queue
   kFeedJoint = 430,        // joint subscriber/primary membership
   kIntervalCounter = 440,  // ConnectionMetrics timeline bins

@@ -50,9 +50,6 @@ void FeedJoint::DetachPrimary() {
 std::shared_ptr<SubscriberQueue> FeedJoint::Subscribe(
     SubscriberOptions options) {
   auto queue = std::make_shared<SubscriberQueue>(std::move(options));
-  // Keepalive: the queue may hold bucket entries past this joint's
-  // lifetime, and its destructor returns them to the pool.
-  queue->AttachPool(pool_);
   common::MutexLock lock(mutex_);
   auto next = CloneRoutes();
   if (next->closed) {
@@ -71,13 +68,6 @@ void FeedJoint::Unsubscribe(const std::shared_ptr<SubscriberQueue>& queue) {
                                       next->subscribers.end(), queue),
                           next->subscribers.end());
   routes_.store(std::move(next));
-}
-
-FeedJoint::Mode FeedJoint::mode() const {
-  auto routes = routes_.load();
-  if (routes->subscribers.empty()) return Mode::kInactive;
-  return routes->subscribers.size() == 1 ? Mode::kShortCircuit
-                                         : Mode::kShared;
 }
 
 size_t FeedJoint::subscriber_count() const {
@@ -99,17 +89,8 @@ Status FeedJoint::NextFrame(const FramePtr& frame) {
   // relaxed: stats counter for the joint gauge; delivery ordering is
   // carried by the queues, not this count.
   frames_routed_.fetch_add(1, std::memory_order_relaxed);
-  const auto& subscribers = routes->subscribers;
-  if (subscribers.size() == 1) {
-    // Short-circuited mode: no Data Bucket bookkeeping.
-    subscribers[0]->Deliver(frame, nullptr);
-  } else if (subscribers.size() > 1) {
-    // Shared mode: one bucket per frame, shared by all subscribers.
-    DataBucket* bucket =
-        pool_->Get(frame, static_cast<int>(subscribers.size()));
-    for (const auto& subscriber : subscribers) {
-      subscriber->Deliver(frame, bucket);
-    }
+  for (const auto& subscriber : routes->subscribers) {
+    subscriber->Deliver(frame);
   }
   if (tc.sampled()) {
     // Detail span for routing + subscriber deliveries (no pipeline lock

@@ -3,8 +3,9 @@
 // paths. A joint sits at the output of a subscribable operator instance;
 // it forwards frames to the in-job downstream (its "primary") and to any
 // dynamically registered subscribers (the intake operators of dependent
-// pipelines). With one subscriber it short-circuits (no bucket
-// bookkeeping); with several it shares Data Buckets, giving Guaranteed
+// pipelines). Every subscriber gets its own reference to each frame, so
+// the frame lives until the last subscriber consumes it (the paper's Data
+// Bucket, §5.4.1) and each queue drains at its own pace: Guaranteed
 // Delivery and Congestion Isolation.
 //
 // Data-plane layout (lock-free rewire): the routing table (primary +
@@ -30,8 +31,6 @@ namespace feeds {
 
 class FeedJoint : public hyracks::IFrameWriter {
  public:
-  enum class Mode { kInactive, kShortCircuit, kShared };
-
   explicit FeedJoint(std::string id) : id_(std::move(id)) {}
 
   const std::string& id() const { return id_; }
@@ -52,8 +51,6 @@ class FeedJoint : public hyracks::IFrameWriter {
   /// Unregisters; the queue stops receiving new frames.
   void Unsubscribe(const std::shared_ptr<SubscriberQueue>& queue);
 
-  /// Current mode, determined dynamically by the subscriber count.
-  Mode mode() const;
   size_t subscriber_count() const;
 
   /// Producer-side IFrameWriter API (the subscribable operator's output).
@@ -66,7 +63,6 @@ class FeedJoint : public hyracks::IFrameWriter {
     // relaxed: monitoring read of a stats counter.
     return frames_routed_.load(std::memory_order_relaxed);
   }
-  const DataBucketPool& bucket_pool() const { return *pool_; }
 
  private:
   /// One immutable routing snapshot. Never mutated after publication;
@@ -84,14 +80,6 @@ class FeedJoint : public hyracks::IFrameWriter {
   const std::string id_;
   // Serializes snapshot *writers* only; the frame path never takes it.
   mutable common::Mutex mutex_{common::LockRank::kFeedJoint};
-  // The pool is shared: every SubscriberQueue holds a keepalive
-  // reference (attached in Subscribe), because queue entries hold
-  // DataBucket* into the pool and a queue can outlive the joint (e.g.
-  // ConnectionMetrics keeps queues for reporting). ~SubscriberQueue
-  // consumes leftover buckets, which must land in a live pool. The pool
-  // is internally synchronized and is used outside mutex_ on the
-  // routing path, so it is deliberately not GUARDED_BY.
-  std::shared_ptr<DataBucketPool> pool_ = std::make_shared<DataBucketPool>();
   // Self-synchronized publication slot (see SnapshotPtr for why this is
   // not std::atomic<std::shared_ptr>): readers load a snapshot, writers
   // store a fresh clone under mutex_. Not GUARDED_BY — the hot path

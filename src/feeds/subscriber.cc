@@ -23,45 +23,6 @@ namespace {
 constexpr uint64_t kSampleSeed = 17;
 }  // namespace
 
-void DataBucket::Consume() {
-  if (pending_.fetch_sub(1) == 1) {
-    pool_->Return(this);
-  }
-}
-
-DataBucketPool::~DataBucketPool() {
-  common::MutexLock lock(mutex_);
-  for (DataBucket* bucket : free_) delete bucket;
-}
-
-DataBucket* DataBucketPool::Get(FramePtr frame, int consumers) {
-  DataBucket* bucket = nullptr;
-  {
-    common::MutexLock lock(mutex_);
-    if (!free_.empty()) {
-      bucket = free_.front();
-      free_.pop_front();
-      // relaxed: stats counter; the pool list itself is under mutex_.
-      reuses_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (bucket == nullptr) {
-    bucket = new DataBucket();
-    // relaxed: stats counter; orders nothing.
-    allocations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  bucket->frame_ = std::move(frame);
-  bucket->pending_.store(consumers);
-  bucket->pool_ = this;
-  return bucket;
-}
-
-void DataBucketPool::Return(DataBucket* bucket) {
-  bucket->frame_.reset();
-  common::MutexLock lock(mutex_);
-  free_.push_back(bucket);
-}
-
 SubscriberQueue::SubscriberQueue(SubscriberOptions options)
     : options_(std::move(options)),
       mem_pool_(options_.memory_pool != nullptr
@@ -94,8 +55,8 @@ SubscriberQueue::~SubscriberQueue() {
       spill_charged_ = 0;
     }
   }
-  // RetireEntry (not a bare bucket Consume) so the governor charge for
-  // every still-buffered frame is returned.
+  // Returns the governor charge for every still-buffered frame; the
+  // frames themselves go with `leftover`.
   for (size_t i = head; i < leftover.size(); ++i) RetireEntry(leftover[i]);
 }
 
@@ -250,7 +211,6 @@ void SubscriberQueue::RetireEntry(const Entry& entry) {
   // (DeliverLocked's append / the spill-restore path): the governor's
   // view of this queue is exactly its pending bytes.
   if (mem_pool_ != nullptr) mem_pool_->Release(frame_bytes);
-  if (entry.bucket != nullptr) entry.bucket->Consume();
 }
 
 void SubscriberQueue::PushLocked(Entry entry) {
@@ -287,7 +247,7 @@ void SubscriberQueue::PopLocked(std::vector<Entry>* out, size_t max_frames) {
   }
 }
 
-void SubscriberQueue::Deliver(FramePtr frame, DataBucket* bucket) {
+void SubscriberQueue::Deliver(FramePtr frame) {
   // Delay action = a stalled subscriber back-pressuring the joint.
   // Deliberately before the lock so a stall never blocks Next() readers.
   ASTERIX_FAILPOINT_HIT("feeds.subscriber.deliver");
@@ -305,7 +265,7 @@ void SubscriberQueue::Deliver(FramePtr frame, DataBucket* bucket) {
   }
   {
     common::MutexLock lock(mutex_);
-    DeliverLocked(std::move(frame), bucket, traced ? &span : nullptr);
+    DeliverLocked(std::move(frame), traced ? &span : nullptr);
   }
   // Wake parked consumers after unlocking. Covers data arrival AND the
   // failure transitions in DeliverLocked.
@@ -318,11 +278,9 @@ void SubscriberQueue::Deliver(FramePtr frame, DataBucket* bucket) {
   }
 }
 
-void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
-                                    TraceSpan* span) {
-  auto consume = [&] {
-    if (bucket != nullptr) bucket->Consume();
-  };
+void SubscriberQueue::DeliverLocked(FramePtr frame, TraceSpan* span) {
+  // A frame this queue does not append is released when `frame` goes out
+  // of scope; only appended entries keep a reference.
   auto outcome = [&](const char* stage, const char* status) {
     if (span != nullptr) {
       span->stage = stage;
@@ -331,7 +289,6 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
     }
   };
   if (ended_) {
-    consume();
     outcome("discarded", "ended");
     return;
   }
@@ -353,7 +310,7 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       pending_bytes_.load(std::memory_order_relaxed) + frame_bytes >
           options_.memory_budget_bytes;
 
-  auto append = [&](FramePtr f, DataBucket* b) {
+  auto append = [&](FramePtr f) {
     if (mem_pool_ != nullptr) {
       // Keep the admission lease's charge (Disown) and true it up to the
       // exact appended bytes: a sampled frame is smaller than the leased
@@ -384,7 +341,6 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
     }
     Entry entry;
     entry.frame = std::move(f);
-    entry.bucket = b;
     if (span != nullptr) entry.deliver_us = common::NowMicros();
     PushLocked(std::move(entry));
   };
@@ -392,9 +348,8 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
   if (throttling_) {
     // Spill-overflow fallback: regulate the inflow by sampling.
     FramePtr sampled = SampleFrame(frame, 0.5);
-    consume();
     if (sampled != nullptr) {
-      append(std::move(sampled), nullptr);
+      append(std::move(sampled));
     } else {
       outcome("throttled", "throttled");
     }
@@ -414,11 +369,10 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
         failure_ = Status::ResourceExhausted(
             "feed '" + options_.name + "' exhausted its memory budget (" +
             std::to_string(options_.memory_budget_bytes) + " bytes)");
-        consume();
         outcome("discarded", "error");
         return;
       }
-      append(std::move(frame), bucket);
+      append(std::move(frame));
       return;
     }
     case ExcessMode::kSpill: {
@@ -441,9 +395,8 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
             LOG_MSG(kWarn) << options_.name
                            << ": spill budget exhausted; throttling";
             FramePtr sampled = SampleFrame(frame, 0.5);
-            consume();
             if (sampled != nullptr) {
-              append(std::move(sampled), nullptr);
+              append(std::move(sampled));
             } else {
               outcome("throttled", "throttled");
             }
@@ -451,19 +404,17 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
             failed_ = true;
             failure_ = Status::ResourceExhausted(
                 "feed '" + options_.name + "' exhausted its spill budget");
-            consume();
             outcome("discarded", "error");
           }
           return;
         }
         SpillLocked(frame);
-        consume();
         // The spill file stores raw records; the trace does not survive
         // the round-trip, so this span is the trace's terminal.
         outcome("spilled", "spilled");
         return;
       }
-      append(std::move(frame), bucket);
+      append(std::move(frame));
       return;
     }
     case ExcessMode::kDiscard: {
@@ -480,11 +431,10 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       if (discarding_) {
         stats_.records_discarded +=
             static_cast<int64_t>(frame->record_count());
-        consume();
         outcome("discarded", "discarded");
         return;
       }
-      append(std::move(frame), bucket);
+      append(std::move(frame));
       return;
     }
     case ExcessMode::kThrottle: {
@@ -499,15 +449,14 @@ void SubscriberQueue::DeliverLocked(FramePtr frame, DataBucket* bucket,
       if (governor_refused) keep = std::min(keep, 0.5);
       if (keep < 1.0) {
         FramePtr sampled = SampleFrame(frame, keep);
-        consume();
         if (sampled != nullptr) {
-          append(std::move(sampled), nullptr);
+          append(std::move(sampled));
         } else {
           outcome("throttled", "throttled");
         }
         return;
       }
-      append(std::move(frame), bucket);
+      append(std::move(frame));
       return;
     }
   }
@@ -573,8 +522,8 @@ size_t SubscriberQueue::NextBatchInto(std::vector<FramePtr>* out,
       (void)ready_.WaitFor(mutex_, deadline - now);
     }
   }
-  // Retirement and span recording run after unlocking: Consume may take
-  // the bucket pool's lock and RecordSpan the tracer's.
+  // Retirement and span recording run after unlocking: RecordSpan takes
+  // the tracer's lock.
   // hot-ok: consumer-owned output vector — callers reuse a thread_local
   // scratch buffer, so the reserve/push_back growth amortizes to zero.
   out->reserve(out->size() + popped.size());

@@ -9,13 +9,17 @@
 // routing thread) applies the policy and appends under the mutex; the
 // consumer (intake pump) drains a whole batch per acquisition and parks
 // on a condition variable of the same mutex when the queue is empty.
-// Bucket and governor releases and trace spans for drained frames happen
-// after unlocking.
+// Governor releases and trace spans for drained frames happen after
+// unlocking.
+//
+// The paper's Data Bucket (§5.4.1) — a frame plus a count of the
+// consumers still using it, recycled by the last one — is the FramePtr
+// itself: each queue entry holds one reference, and the last release
+// frees the frame (or recycles it into its FramePool).
 #pragma once
 
 #include <atomic>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,44 +35,7 @@
 namespace asterix {
 namespace feeds {
 
-class DataBucketPool;
 struct TraceSpan;
-
-/// The paper's Data Bucket: a frame holder carrying a consumer counter.
-/// Shared by all subscribers of a joint in shared mode; returned to the
-/// pool when the last subscriber is done.
-class DataBucket {
- public:
-  const hyracks::FramePtr& frame() const { return frame_; }
-
-  /// Marks this subscriber's consumption; recycles on the last one.
-  void Consume();
-
- private:
-  friend class DataBucketPool;
-  hyracks::FramePtr frame_;
-  std::atomic<int> pending_{0};
-  DataBucketPool* pool_ = nullptr;
-};
-
-/// Free-list pool of Data Buckets (§5.4.1: buckets are "reclaimed and
-/// returned to a pool only to be retrieved later").
-class DataBucketPool {
- public:
-  ~DataBucketPool();
-
-  DataBucket* Get(hyracks::FramePtr frame, int consumers);
-  void Return(DataBucket* bucket);
-
-  int64_t allocations() const { return allocations_.load(); }
-  int64_t reuses() const { return reuses_.load(); }
-
- private:
-  common::Mutex mutex_{common::LockRank::kBucketPool};
-  std::deque<DataBucket*> free_ GUARDED_BY(mutex_);
-  std::atomic<int64_t> allocations_{0};
-  std::atomic<int64_t> reuses_{0};
-};
 
 struct SubscriberOptions {
   ExcessMode mode = ExcessMode::kBlock;
@@ -108,7 +75,7 @@ struct SubscriberStats {
 };
 
 /// One subscriber's queue. Producer side: the feed joint Delivers frames
-/// (possibly wrapped in shared Data Buckets). Consumer side: the intake
+/// (one FramePtr reference per subscriber). Consumer side: the intake
 /// operator of the subscribing pipeline Next()s frames at its own pace —
 /// the asynchrony that gives the paper's Congestion Isolation.
 class SubscriberQueue {
@@ -116,18 +83,9 @@ class SubscriberQueue {
   explicit SubscriberQueue(SubscriberOptions options);
   ~SubscriberQueue();
 
-  /// Keepalive for the bucket pool the queued DataBucket* point into.
-  /// Set once by FeedJoint::Subscribe before any delivery; guarantees
-  /// the pool outlives this queue even if the joint dies first (the
-  /// destructor returns leftover buckets to the pool).
-  void AttachPool(std::shared_ptr<DataBucketPool> pool) {
-    pool_keepalive_ = std::move(pool);
-  }
-
-  /// Producer side. `bucket` is null in short-circuit mode. Never blocks
-  /// the producer (congestion isolation): excess handling follows the
-  /// policy mode instead.
-  void Deliver(hyracks::FramePtr frame, DataBucket* bucket);
+  /// Producer side. Never blocks the producer (congestion isolation):
+  /// excess handling follows the policy mode instead.
+  void Deliver(hyracks::FramePtr frame);
 
   /// Marks clean end-of-feed; consumers drain then see nullopt + ended().
   void DeliverEnd();
@@ -167,15 +125,14 @@ class SubscriberQueue {
  private:
   struct Entry {
     hyracks::FramePtr frame;
-    DataBucket* bucket = nullptr;  // consumed on pop
-    int64_t deliver_us = 0;        // enqueue instant, traced frames only
+    int64_t deliver_us = 0;  // enqueue instant, traced frames only
   };
 
   // Excess handling under mutex_; fills `span` (non-null iff the frame is
   // traced) with the delivery outcome. The caller records it after
   // unlocking — RecordSpan must not run under a queue mutex.
-  void DeliverLocked(hyracks::FramePtr frame, DataBucket* bucket,
-                     TraceSpan* span) REQUIRES(mutex_);
+  void DeliverLocked(hyracks::FramePtr frame, TraceSpan* span)
+      REQUIRES(mutex_);
   /// Appends to the FIFO; its capacity survives drains (see fifo_).
   void PushLocked(Entry entry) REQUIRES(mutex_);
   /// Moves up to `max_frames` entries off the FIFO head into `out`,
@@ -183,8 +140,8 @@ class SubscriberQueue {
   void PopLocked(std::vector<Entry>* out, size_t max_frames)
       REQUIRES(mutex_);
   size_t fifo_size() const REQUIRES(mutex_) { return fifo_.size() - head_; }
-  /// Retires a popped/abandoned entry's bucket reference and byte
-  /// accounting. Called with no lock held.
+  /// Retires a popped/abandoned entry's byte accounting. Called with no
+  /// lock held.
   void RetireEntry(const Entry& entry);
   void RecordQueueSpan(const Entry& entry, int64_t pop_us) const;
   void SpillLocked(const hyracks::FramePtr& frame) REQUIRES(mutex_);
@@ -197,9 +154,6 @@ class SubscriberQueue {
   // standard pools). Charged lock-free; never null after construction.
   common::MemPool* const mem_pool_;
   common::MemPool* const spill_pool_;
-  // Destroyed after the destructor body runs, so leftover buckets can
-  // always be returned safely.
-  std::shared_ptr<DataBucketPool> pool_keepalive_;
   mutable common::Mutex mutex_{common::LockRank::kSubscriberQueue};
   // Signalled after every delivery, end, or failure.
   common::CondVar ready_;

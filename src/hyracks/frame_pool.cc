@@ -34,14 +34,6 @@ FramePool::~FramePool() {
   }
 }
 
-FramePool& FramePool::Default() {
-  // Leaked: frames retired during static teardown may still recycle into
-  // it, and the governor it draws on is leaked for the same reason.
-  static FramePool* pool = new FramePool(common::MemGovernor::Default().GetPool(
-      common::MemGovernor::kFramePathPool));
-  return *pool;
-}
-
 std::vector<adm::Value> FramePool::AcquireRecords() {
   if (std::optional<std::vector<adm::Value>> v = vectors_.TryPop()) {
     const int64_t retained =

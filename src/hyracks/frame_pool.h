@@ -52,10 +52,6 @@ class FramePool {
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
 
-  /// Process-wide pool, budgeted against MemGovernor::Default()'s
-  /// "frame_path" pool.
-  static FramePool& Default();
-
   /// An empty record vector, with recycled capacity when available.
   std::vector<adm::Value> AcquireRecords();
 

@@ -1,6 +1,6 @@
-// Unit tests of the feed substrate: policies, UDFs, joints and Data
-// Buckets, the policy-enforcing subscriber queues, ack machinery,
-// adaptors and the feed catalog.
+// Unit tests of the feed substrate: policies, UDFs, joints and the
+// lifetime of the frames they share, the policy-enforcing subscriber
+// queues, ack machinery, adaptors and the feed catalog.
 #include <filesystem>
 #include <limits>
 #include <set>
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "adm/parser.h"
+#include "common/mem_governor.h"
 #include "feeds/ack.h"
 #include "feeds/catalog.h"
 #include "feeds/joint.h"
@@ -184,30 +185,20 @@ TEST(UdfTest, RegistryFindAndDuplicates) {
   EXPECT_FALSE(registry.Find("f2").ok());
 }
 
-// --- joints & buckets ---------------------------------------------------
+// --- joints & frame lifetime -------------------------------------------
 
 TEST(JointTest, InactiveUntilSubscribed) {
   FeedJoint joint("J");
-  EXPECT_EQ(joint.mode(), FeedJoint::Mode::kInactive);
+  EXPECT_EQ(joint.subscriber_count(), 0u);
   auto q1 = joint.Subscribe({});
-  EXPECT_EQ(joint.mode(), FeedJoint::Mode::kShortCircuit);
+  EXPECT_EQ(joint.subscriber_count(), 1u);
   auto q2 = joint.Subscribe({});
-  EXPECT_EQ(joint.mode(), FeedJoint::Mode::kShared);
+  EXPECT_EQ(joint.subscriber_count(), 2u);
   joint.Unsubscribe(q2);
-  EXPECT_EQ(joint.mode(), FeedJoint::Mode::kShortCircuit);
+  EXPECT_EQ(joint.subscriber_count(), 1u);
 }
 
-TEST(JointTest, ShortCircuitAvoidsBuckets) {
-  FeedJoint joint("J");
-  auto queue = joint.Subscribe({});
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(joint.NextFrame(FrameOf(5)).ok());
-  }
-  EXPECT_EQ(joint.bucket_pool().allocations(), 0);
-  EXPECT_EQ(queue->stats().frames_delivered, 10);
-}
-
-TEST(JointTest, SharedModeGuaranteedDelivery) {
+TEST(JointTest, EverySubscriberGetsEveryFrame) {
   FeedJoint joint("J");
   auto q1 = joint.Subscribe({});
   auto q2 = joint.Subscribe({});
@@ -219,22 +210,53 @@ TEST(JointTest, SharedModeGuaranteedDelivery) {
     EXPECT_EQ(queue->stats().frames_delivered, 20);
     EXPECT_EQ(queue->stats().records_delivered, 60);
   }
-  EXPECT_GT(joint.bucket_pool().allocations(), 0);
 }
 
-TEST(JointTest, BucketPoolRecyclesAfterConsumption) {
+// The paper's Data Bucket is the frame's reference count: a frame routed
+// to three subscribers lives until the third one has consumed it.
+TEST(JointTest, FrameLivesUntilLastSubscriberConsumes) {
   FeedJoint joint("J");
   auto q1 = joint.Subscribe({});
   auto q2 = joint.Subscribe({});
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(joint.NextFrame(FrameOf(2)).ok());
-    // Both subscribers consume: bucket refcount hits zero, returns to
-    // the pool and is reused next round.
-    ASSERT_TRUE(q1->Next(1000).has_value());
-    ASSERT_TRUE(q2->Next(1000).has_value());
+  auto q3 = joint.Subscribe({});
+  FramePtr frame = FrameOf(4);
+  std::weak_ptr<const hyracks::Frame> watch = frame;
+  ASSERT_TRUE(joint.NextFrame(frame).ok());
+  frame.reset();
+  ASSERT_TRUE(q1->Next(1000).has_value());
+  EXPECT_FALSE(watch.expired());
+  ASSERT_TRUE(q2->Next(1000).has_value());
+  EXPECT_FALSE(watch.expired());
+  ASSERT_TRUE(q3->Next(1000).has_value());
+  EXPECT_TRUE(watch.expired());
+}
+
+// A queue may outlive its joint (connection metrics keep queues for
+// reporting). Its undelivered frames stay valid, and destroying the queue
+// frees them and returns their governor charge.
+TEST(JointTest, QueueOutlivingJointFreesFramesOnDestruction) {
+  common::MemGovernor governor(nullptr);
+  common::MemPool* frame_path = governor.RegisterPool("frame_path", 1 << 20);
+  const int64_t used_before = frame_path->used();
+  SubscriberOptions options;
+  options.memory_pool = frame_path;
+  auto joint = std::make_unique<FeedJoint>("J");
+  auto kept = joint->Subscribe(options);
+  auto other = joint->Subscribe(options);
+  std::vector<std::weak_ptr<const hyracks::Frame>> watches;
+  for (int i = 0; i < 5; ++i) {
+    FramePtr frame = FrameOf(3, i * 3);
+    watches.push_back(frame);
+    ASSERT_TRUE(joint->NextFrame(frame).ok());
   }
-  EXPECT_GT(joint.bucket_pool().reuses(), 40);
-  EXPECT_LT(joint.bucket_pool().allocations(), 10);
+  other.reset();
+  joint.reset();
+  EXPECT_EQ(kept->pending_frames(), 5u);
+  EXPECT_GT(frame_path->used(), used_before);
+  for (const auto& watch : watches) EXPECT_FALSE(watch.expired());
+  kept.reset();
+  for (const auto& watch : watches) EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(frame_path->used(), used_before);
 }
 
 TEST(JointTest, CongestionIsolationBetweenSubscribers) {
@@ -301,10 +323,40 @@ SubscriberOptions SmallQueue(ExcessMode mode, int64_t budget = 4096) {
   return options;
 }
 
+// Delivers the only reference to a fresh frame; true iff the queue did
+// not keep it (dropped it, spilled it, or kept only a sampled copy).
+bool DeliverReleases(SubscriberQueue* queue) {
+  FramePtr frame = FrameOf(10);
+  std::weak_ptr<const hyracks::Frame> watch = frame;
+  queue->Deliver(std::move(frame));
+  return watch.expired();
+}
+
+TEST(SubscriberQueueTest, DroppedFramesAreReleased) {
+  SubscriberQueue ended(SmallQueue(ExcessMode::kBlock));
+  ended.DeliverEnd();
+  EXPECT_TRUE(DeliverReleases(&ended));
+
+  // A one-byte budget puts every frame over it.
+  SubscriberQueue discard(SmallQueue(ExcessMode::kDiscard, 1));
+  EXPECT_TRUE(DeliverReleases(&discard));
+  EXPECT_EQ(discard.stats().records_discarded, 10);
+
+  SubscriberQueue spill(SmallQueue(ExcessMode::kSpill, 1));
+  EXPECT_TRUE(DeliverReleases(&spill));
+  EXPECT_EQ(spill.stats().frames_spilled, 1);
+
+  // Throttle keeps everything into an empty queue; once one frame is
+  // pending over budget, arrivals are sampled into new frames.
+  SubscriberQueue throttle(SmallQueue(ExcessMode::kThrottle, 1));
+  EXPECT_FALSE(DeliverReleases(&throttle));
+  EXPECT_TRUE(DeliverReleases(&throttle));
+}
+
 TEST(SubscriberQueueTest, BasicFailsWhenBudgetExhausted) {
   SubscriberQueue queue(SmallQueue(ExcessMode::kBlock, 2048));
   for (int i = 0; i < 200 && !queue.failed(); ++i) {
-    queue.Deliver(FrameOf(10), nullptr);
+    queue.Deliver(FrameOf(10));
   }
   EXPECT_TRUE(queue.failed());
   EXPECT_TRUE(queue.failure().IsResourceExhausted());
@@ -312,7 +364,7 @@ TEST(SubscriberQueueTest, BasicFailsWhenBudgetExhausted) {
 
 TEST(SubscriberQueueTest, DiscardDropsExcessAndCounts) {
   SubscriberQueue queue(SmallQueue(ExcessMode::kDiscard, 2048));
-  for (int i = 0; i < 200; ++i) queue.Deliver(FrameOf(10), nullptr);
+  for (int i = 0; i < 200; ++i) queue.Deliver(FrameOf(10));
   auto stats = queue.stats();
   EXPECT_FALSE(queue.failed());
   EXPECT_GT(stats.records_discarded, 0);
@@ -322,7 +374,7 @@ TEST(SubscriberQueueTest, DiscardDropsExcessAndCounts) {
 
 TEST(SubscriberQueueTest, ThrottleSamplesExcess) {
   SubscriberQueue queue(SmallQueue(ExcessMode::kThrottle, 4096));
-  for (int i = 0; i < 300; ++i) queue.Deliver(FrameOf(10), nullptr);
+  for (int i = 0; i < 300; ++i) queue.Deliver(FrameOf(10));
   auto stats = queue.stats();
   EXPECT_FALSE(queue.failed());
   EXPECT_GT(stats.records_throttled_away, 0);
@@ -335,7 +387,7 @@ TEST(SubscriberQueueTest, SpillParksExcessOnDiskAndRestoresInOrder) {
   SubscriberQueue queue(SmallQueue(ExcessMode::kSpill, 2048));
   constexpr int kFrames = 120;
   for (int i = 0; i < kFrames; ++i) {
-    queue.Deliver(FrameOf(5, i * 5), nullptr);
+    queue.Deliver(FrameOf(5, i * 5));
   }
   EXPECT_GT(queue.stats().frames_spilled, 0);
   // Drain everything; order must be preserved across the spill boundary.
@@ -370,7 +422,7 @@ TEST(SubscriberQueueTest, SpillRestoresNonFiniteDoubles) {
            {"x", Value::Double(specials[r])},
            {"at", Value::MakePoint(specials[r], specials[3 - r])}}));
     }
-    queue.Deliver(MakeFrame(std::move(records)), nullptr);
+    queue.Deliver(MakeFrame(std::move(records)));
   }
   ASSERT_GT(queue.stats().frames_spilled, 0);
   int64_t expected = 0;
@@ -396,7 +448,7 @@ TEST(SubscriberQueueTest, SpillOverflowFailsWithoutThrottleFallback) {
   options.max_spill_bytes = 2048;  // tiny spill budget
   SubscriberQueue queue(options);
   for (int i = 0; i < 500 && !queue.failed(); ++i) {
-    queue.Deliver(FrameOf(10), nullptr);
+    queue.Deliver(FrameOf(10));
   }
   EXPECT_TRUE(queue.failed());
 }
@@ -407,14 +459,14 @@ TEST(SubscriberQueueTest, SpillOverflowThrottlesWithFallback) {
   options.max_spill_bytes = 2048;
   options.throttle_after_spill = true;
   SubscriberQueue queue(options);
-  for (int i = 0; i < 500; ++i) queue.Deliver(FrameOf(10), nullptr);
+  for (int i = 0; i < 500; ++i) queue.Deliver(FrameOf(10));
   EXPECT_FALSE(queue.failed());
   EXPECT_GT(queue.stats().records_throttled_away, 0);
 }
 
 TEST(SubscriberQueueTest, EndAfterDrain) {
   SubscriberQueue queue(SmallQueue(ExcessMode::kBlock));
-  queue.Deliver(FrameOf(1), nullptr);
+  queue.Deliver(FrameOf(1));
   queue.DeliverEnd();
   EXPECT_FALSE(queue.ended());  // still has data
   EXPECT_TRUE(queue.Next(100).has_value());
@@ -439,7 +491,7 @@ TEST(SubscriberQueueTest, FrameRacingDeliverEndIsNeverStranded) {
         got += static_cast<int>(batch.size());
       }
     });
-    queue.Deliver(FrameOf(1), nullptr);
+    queue.Deliver(FrameOf(1));
     queue.DeliverEnd();
     consumer.join();
     ASSERT_EQ(got, 1) << "final frame stranded on iteration " << iter;
@@ -459,7 +511,7 @@ TEST(SubscriberQueueTest, TruncatedSpillFailsInsteadOfSpinning) {
   options.spill_dir = dir.string();
   options.name = "truncated";
   SubscriberQueue queue(options);
-  for (int i = 0; i < 120; ++i) queue.Deliver(FrameOf(5), nullptr);
+  for (int i = 0; i < 120; ++i) queue.Deliver(FrameOf(5));
   ASSERT_GT(queue.stats().frames_spilled, 0);
   // Drain until the first restore pass ran (it flushes libc's write
   // buffer to disk, so the truncation below cannot be undone by a later

@@ -394,7 +394,7 @@ TEST(MemGovernorChaos, DiscardShedsWithAccurateAccountingUnderStarvation) {
           .OnInstance("starved_frames"));
   constexpr int kFrames = 50;
   for (int i = 0; i < kFrames; ++i) {
-    queue.Deliver(testing::FrameOf(10), nullptr);
+    queue.Deliver(testing::FrameOf(10));
   }
   common::FailPointRegistry::Instance().Disarm("common.memgov.reserve");
   auto stats = queue.stats();
@@ -529,7 +529,7 @@ TEST(ZeroAllocSteadyState, PooledFramePathAllocatesNothingPerFrame) {
   struct QueueWriter : hyracks::IFrameWriter {
     feeds::SubscriberQueue* queue = nullptr;
     common::Status NextFrame(const hyracks::FramePtr& frame) override {
-      queue->Deliver(frame, nullptr);
+      queue->Deliver(frame);
       return common::Status::OK();
     }
   };

@@ -237,7 +237,7 @@ TEST_P(QueueInvariantTest, AccountingIsExactAndOrderPreserved) {
                          {"n", Value::Int64(n)}}));
     }
     delivered_in += kPerFrame;
-    queue.Deliver(hyracks::MakeFrame(std::move(records)), nullptr);
+    queue.Deliver(hyracks::MakeFrame(std::move(records)));
     // Bursts of 16 frames: each overruns the budget, and a concurrent
     // consumer is still draining (restoring) one when the next arrives.
     if (f % 16 == 15) common::SleepMicros(200);

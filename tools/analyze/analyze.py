@@ -5,10 +5,11 @@ hot-path allocation, and AST-grade MEM-ORDER.
 Usage:
   analyze.py [--root DIR] [--check NAME ...] [--json OUT] [files ...]
 
-With no file arguments, analyzes every .h/.cc under <root>/src plus the
-README rank table and tools/analyze/expected_lock_edges.txt lockstep.
-Explicit file arguments switch to fixture mode: no repo allowlists, no
-README/expected-edge cross-checks, roots overridable with --hot-root.
+With no file arguments, analyzes every .h/.cc under <root>/src, checks
+every lock edge against the rank values in src/common/lock_rank.h, and
+keeps tools/analyze/expected_lock_edges.txt in lockstep. Explicit file
+arguments switch to fixture mode: no repo allowlists, no expected-edge
+cross-check, roots overridable with --hot-root.
 
 The source is read by a self-contained token/structure frontend
 (cpplex.py + ir.py) that needs nothing beyond Python.
@@ -42,19 +43,6 @@ def find_repo_root(start):
             return p
         p = p.parent
     return Path(start).resolve()
-
-
-def parse_readme_ranks(readme_path):
-    """{'kName': value} from the README rank table."""
-    out = {}
-    if not readme_path.exists():
-        return None
-    row = re.compile(r"^\|\s*`(k\w+)`\s*\|\s*(\d+)\s*\|")
-    for line in readme_path.read_text().splitlines():
-        m = row.match(line.strip())
-        if m:
-            out[m.group(1)] = int(m.group(2))
-    return out or None
 
 
 def parse_expected_edges(path):
@@ -131,15 +119,12 @@ def main(argv=None):
         "allowlists": not fixture_mode,
         "unused_ranks": not fixture_mode,
         "rank_file": str(root / "src/common/lock_rank.h"),
-        "readme_path": str(root / "README.md"),
     }
     if not fixture_mode:
-        opts["readme_ranks"] = parse_readme_ranks(root / "README.md")
         edges_path = root / "tools/analyze/expected_lock_edges.txt"
         opts["expected_edges"] = parse_expected_edges(edges_path)
         opts["edges_path"] = str(edges_path)
     else:
-        opts["readme_ranks"] = None
         opts["expected_edges"] = None
     if args.hot_root:
         opts["hot_roots"] = args.hot_root

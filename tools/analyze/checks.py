@@ -245,22 +245,6 @@ def check_lock_graph(program, opts):
                 f"holding {outer} ({ov}) — held locks must outrank new "
                 f"acquisitions strictly", path=site["path"]))
 
-    # --- README rank-table cross-check for every edge endpoint ----------
-    readme = opts.get("readme_ranks")
-    if readme is not None:
-        used = {r for e in edges for r in e}
-        for r in sorted(used):
-            if r not in readme:
-                findings.append(Finding(
-                    "LOCK-GRAPH", opts.get("readme_path", "README.md"), 1,
-                    f"rank {r} appears in the acquisition graph but not "
-                    f"in the README rank table"))
-            elif r in ranks and readme[r] != ranks[r]:
-                findings.append(Finding(
-                    "LOCK-GRAPH", opts.get("readme_path", "README.md"), 1,
-                    f"rank {r}: README table value {readme[r]} != enum "
-                    f"value {ranks[r]}"))
-
     # --- ranks declared but never acquired ------------------------------
     if opts.get("unused_ranks", True):
         acquired = set()

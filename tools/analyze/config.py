@@ -147,8 +147,6 @@ HOT_PRUNE = {
     "MemPool": "governor pool: every byte is charged against the global "
                "budget by construction",
     "BlockAllocator": "FramePool's arena: charged bulk refill, amortized",
-    "DataBucketPool::Get": "bucket pool: miss path news a governor-charged "
-                           "bucket; steady state recycles",
     "GetCounter": "metrics registry: allocates once per process at static "
                   "init of the call site, never in steady state",
     "GetGauge": "metrics registry: once-per-process static init",

@@ -23,13 +23,10 @@ Checks, each with a stable ID used in failure output:
               so every lock is an annotated common::Mutex
   LOCK-RANK   every common::Mutex/SharedMutex construction in src/ names
               a LockRank in its brace initializer
-  RANK-README the README "Lock ranking" table lists exactly the ranks in
-              src/common/lock_rank.h, with matching numeric values (same
-              mechanism as the failpoint-site table)
   RANK-EXEMPT the lock-bit snapshot slot (src/common/snapshot_ptr.h) is
               rank-exempt by design — the README "Data plane" section
-              must exist and document the exemption, so the rank table's
-              completeness claim stays honest
+              must exist and document the exemption, so the claim that
+              every other lock is ranked stays honest
   SPIN-PARK   no raw atomic spin loops outside src/common/snapshot_ptr.h
               (and the atomic shim's SpinWaitWhile it uses):
               std::this_thread::yield and empty-body `while (x.load())`
@@ -82,8 +79,6 @@ RAW_SYNC_ALLOWLIST = {"thread_annotations.h", "deadlock_detector.h",
 MUTEX_DECL = re.compile(
     r"(?:mutable\s+)?(?:common::)?\b(?:Shared)?Mutex\s+(\w+)\s*"
     r"(?:ACQUIRED_(?:BEFORE|AFTER)\([^)]*\)\s*)?(\{[^}]*\})?\s*;")
-
-LOCK_RANK_ENTRY = re.compile(r"^\s*k(\w+)\s*=\s*(\d+),")
 
 # The one place raw spin loops are legitimate: SnapshotPtr's lock bit,
 # held only for one shared_ptr refcount operation — plus the model
@@ -277,42 +272,6 @@ class Linter:
                     f"mutex '{m.group(1)}' constructed without a LockRank "
                     "(brace-initialize with common::LockRank::k...)")
 
-        # README rank table <-> enum lockstep.
-        enum = {}
-        for line in (self.root / "src/common/lock_rank.h").read_text() \
-                .splitlines():
-            m = LOCK_RANK_ENTRY.match(line)
-            if m:
-                enum["k" + m.group(1)] = int(m.group(2))
-        table = {}
-        in_table = False
-        for line in (self.root / "README.md").read_text().splitlines():
-            if line.strip().startswith("| Rank") and "`" not in line:
-                in_table = True
-                continue
-            if in_table:
-                m = re.match(r"\|\s*`(k\w+)`\s*\|\s*(\d+)\s*\|", line)
-                if m:
-                    table[m.group(1)] = int(m.group(2))
-                elif line.strip().startswith("|--") or \
-                        line.strip().startswith("| --"):
-                    continue
-                else:
-                    in_table = False
-        for name in sorted(set(enum) - set(table)):
-            self.fail("RANK-README", "README.md",
-                      f"rank '{name}' is in lock_rank.h but missing from "
-                      "the README rank table")
-        for name in sorted(set(table) - set(enum)):
-            self.fail("RANK-README", "README.md",
-                      f"rank '{name}' is in the README rank table but not "
-                      "in lock_rank.h")
-        for name in sorted(set(enum) & set(table)):
-            if enum[name] != table[name]:
-                self.fail("RANK-README", "README.md",
-                          f"rank '{name}' is {enum[name]} in lock_rank.h "
-                          f"but {table[name]} in the README table")
-
     # --- memory pools --------------------------------------------------------
     def check_mem_pools(self):
         """MEM-POOL: a `TryReserve`/`TryLease` whose Status is discarded is
@@ -320,7 +279,7 @@ class Linter:
         *refused* and the caller proceeds as if admitted. Heuristic: the
         enclosing statement must contain an `=`, an `if`, a `return`, a
         `.ok(` test, or a CHECK macro. MEM-README: pool table lockstep,
-        same mechanism as the failpoint and rank tables."""
+        same mechanism as the failpoint table."""
         call = re.compile(r"\b(?:TryReserve|TryLease)\s*\(")
         for path in sorted((self.root / "src").rglob("*")):
             if path.suffix not in (".h", ".cc"):
