@@ -3,14 +3,18 @@
 //   1. feed joint fan-out cost per subscriber,
 //   2. frame size (records per frame) on the joint delivery path,
 //   3. ack grouping window (messages saved by grouping, §5.6),
-//   4. the storage write path (LSM insert, WAL append),
+//   4. the storage write path (LSM insert, WAL group commit, dataset
+//      insert per record vs per frame),
 //   5. ADM parse/serialize (the intake translation step).
+#include <filesystem>
+
 #include <benchmark/benchmark.h>
 
 #include "adm/parser.h"
 #include "feeds/ack.h"
 #include "feeds/joint.h"
 #include "gen/tweetgen.h"
+#include "storage/dataset.h"
 #include "storage/key.h"
 #include "storage/lsm_index.h"
 #include "storage/wal.h"
@@ -105,20 +109,63 @@ void BM_LsmInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_LsmInsert);
 
-/// Substrate: WAL append (non-durable buffering).
+/// Substrate: WAL group commit. Args: entries per Append (1/8/64) and
+/// durable (0/1, one flush per Append). Items are entries, so the curve
+/// shows the per-entry cost of the lease, lock, write and flush falling
+/// with the batch. A fixed 8192 Appends per run bound the log file (at
+/// most 512k entries, under 200 MB at batch 64).
 void BM_WalAppend(benchmark::State& state) {
-  storage::Wal wal("/tmp/asterix_bench.wal");
+  const int64_t batch_entries = state.range(0);
+  storage::Wal wal("/tmp/asterix_bench.wal", /*durable=*/state.range(1) != 0);
   CHECK_OK(wal.Open());
   gen::TweetFactory factory(0);
-  std::string payload = factory.NextTweetText();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wal.Append(payload));
+  storage::WalBatch batch;
+  int64_t bytes = 0;
+  for (int64_t i = 0; i < batch_entries; ++i) {
+    std::string payload = factory.NextTweetText();
+    bytes += static_cast<int64_t>(payload.size());
+    batch.Add(payload);
   }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(payload.size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wal.Append(batch));
+  }
+  state.SetItemsProcessed(state.iterations() * batch_entries);
+  state.SetBytesProcessed(state.iterations() * bytes);
   std::remove("/tmp/asterix_bench.wal");
 }
-BENCHMARK(BM_WalAppend);
+BENCHMARK(BM_WalAppend)
+    ->ArgsProduct({{1, 8, 64}, {0, 1}})
+    ->ArgNames({"batch", "durable"})
+    ->Iterations(8192);
+
+/// The store stage's write: a 64-record frame into a durable dataset
+/// partition, as 64 Insert calls (arg 0) or one InsertFrame (arg 1).
+/// Upserts of the same 64 keys keep the memtable bounded.
+void BM_DatasetInsert(benchmark::State& state) {
+  const bool per_frame = state.range(0) != 0;
+  const std::string dir = "/tmp/asterix_bench_dataset";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  storage::DatasetDef def;
+  def.name = "Bench";
+  def.primary_key_field = "id";
+  def.durable_writes = true;
+  storage::DatasetPartition partition(def, 0, dir, nullptr);
+  CHECK_OK(partition.Open());
+  gen::TweetFactory factory(0);
+  std::vector<Value> frame;
+  for (int i = 0; i < 64; ++i) frame.push_back(factory.NextTweet());
+  for (auto _ : state) {
+    if (per_frame) {
+      CHECK_OK(partition.InsertFrame(frame));
+    } else {
+      for (const Value& record : frame) CHECK_OK(partition.Insert(record));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_DatasetInsert)->Arg(0)->Arg(1)->ArgName("per_frame")->Iterations(1024);
 
 /// Intake translation: parse one serialized tweet into ADM.
 void BM_AdmParse(benchmark::State& state) {

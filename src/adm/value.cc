@@ -154,14 +154,21 @@ std::shared_ptr<T> Detach(std::shared_ptr<T>& ptr) {
 void Value::SetField(const std::string& name, Value v) {
   if (tag_ != TypeTag::kRecord) return;
   auto& ptr = std::get<std::shared_ptr<FieldVec>>(data_);
-  auto fields = Detach(ptr);
-  for (auto& [field_name, value] : *fields) {
-    if (field_name == name) {
-      value = std::move(v);
+  for (size_t i = 0; i < ptr->size(); ++i) {
+    if ((*ptr)[i].first == name) {
+      (*Detach(ptr))[i].second = std::move(v);
       return;
     }
   }
-  fields->emplace_back(name, std::move(v));
+  if (ptr.use_count() > 1) {
+    // Copy-on-write that adds a field: size the copy for it, so a derived
+    // record (a UDF's output, often stored) holds no spare capacity.
+    auto copy = std::make_shared<FieldVec>();
+    copy->reserve(ptr->size() + 1);
+    copy->assign(ptr->begin(), ptr->end());
+    ptr = std::move(copy);
+  }
+  ptr->emplace_back(name, std::move(v));
 }
 
 bool Value::RemoveField(const std::string& name) {
@@ -373,6 +380,13 @@ std::string Value::ToAdmString() const {
   if (buffer.size() < bound) buffer.resize(bound);
   char* const begin = buffer.data();
   return std::string(begin, WriteAdm(*this, begin));
+}
+
+void Value::AppendAdmString(std::string* out) const {
+  const size_t start = out->size();
+  out->resize(start + AdmBound(*this));
+  char* const begin = out->data();
+  out->resize(static_cast<size_t>(WriteAdm(*this, begin + start) - begin));
 }
 
 size_t Value::ApproxSizeBytes() const {

@@ -99,6 +99,8 @@ class Value {
   /// as inf, -inf, nan, -nan. The output is byte-stable (it is the WAL
   /// payload) and is returned at its exact size with one allocation.
   std::string ToAdmString() const;
+  /// Appends the same bytes as ToAdmString() to `out`, with no temporary.
+  void AppendAdmString(std::string* out) const;
 
   /// Approximate in-memory footprint in bytes (for memory budgeting in
   /// the Basic/Spill policy runtimes).

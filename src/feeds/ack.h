@@ -1,7 +1,8 @@
-// At-least-once machinery (§5.6): records are augmented with tracking ids
-// at the intake stage; store instances ack persisted ids (grouped over a
-// fixed window to cut message counts); intake holds records until acked
-// and replays them on timeout.
+// At-least-once machinery (§5.6): the intake stage mints a tracking id per
+// record, carried beside it in the frame's tracking-id column
+// (hyracks::Frame::tracking_ids); store instances ack persisted ids
+// (grouped over a fixed window to cut message counts); intake holds
+// records until acked and replays them on timeout.
 #pragma once
 
 #include <atomic>
@@ -9,7 +10,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adm/value.h"
@@ -19,9 +22,6 @@
 
 namespace asterix {
 namespace feeds {
-
-/// The hidden field carrying the tracking id on in-flight records.
-inline constexpr const char* kTrackingIdField = "_tracking_id";
 
 /// Tracking ids pack the intake partition and a sequence number so the
 /// store stage can group acks per source adaptor instance.
@@ -81,15 +81,29 @@ class AckBus {
   std::atomic<int64_t> messages_published_{0};
 };
 
-/// Intake-side ledger of unacked records.
+/// Intake-side ledger of unacked records. Records are held as the shared
+/// values the frames carry (a copy is a reference count, not a clone).
 class PendingTracker {
  public:
+  using Entry = std::pair<int64_t, adm::Value>;  // (tracking id, record)
+
   explicit PendingTracker(int64_t timeout_ms) : timeout_ms_(timeout_ms) {}
 
   /// Registers an in-flight record under its tracking id.
   void Track(int64_t tid, adm::Value record) {
     common::MutexLock lock(mutex_);
     pending_[tid] = {std::move(record), common::NowMillis()};
+  }
+
+  /// Registers a frame's records under its tracking-id column (parallel
+  /// spans; ids of -1 are skipped). Re-tracking an id restarts its timeout.
+  void Track(std::span<const int64_t> tids,
+             std::span<const adm::Value> records) {
+    const int64_t now = common::NowMillis();
+    common::MutexLock lock(mutex_);
+    for (size_t i = 0; i < tids.size(); ++i) {
+      if (tids[i] >= 0) pending_[tids[i]] = {records[i], now};
+    }
   }
 
   /// Ack arrival: drops the records and reclaims memory.
@@ -100,15 +114,15 @@ class PendingTracker {
 
   /// Records whose ack window expired; their timestamps reset so a
   /// single stall does not replay twice immediately.
-  std::vector<adm::Value> TakeExpired() {
+  std::vector<Entry> TakeExpired() {
     ASTERIX_FAILPOINT_HIT("feeds.ack.replay");
-    std::vector<adm::Value> expired;
+    std::vector<Entry> expired;
     int64_t now = common::NowMillis();
     common::MutexLock lock(mutex_);
-    for (auto& [tid, entry] : pending_) {
-      if (now - entry.tracked_at_ms >= timeout_ms_) {
-        expired.push_back(entry.record);
-        entry.tracked_at_ms = now;
+    for (auto& [tid, pending] : pending_) {
+      if (now - pending.tracked_at_ms >= timeout_ms_) {
+        expired.emplace_back(tid, pending.record);
+        pending.tracked_at_ms = now;
       }
     }
     return expired;
@@ -116,12 +130,12 @@ class PendingTracker {
 
   /// Removes and returns every pending record (handoff to a successor
   /// instance during pipeline resurrection).
-  std::vector<adm::Value> TakeAll() {
+  std::vector<Entry> TakeAll() {
     common::MutexLock lock(mutex_);
-    std::vector<adm::Value> out;
+    std::vector<Entry> out;
     out.reserve(pending_.size());
-    for (auto& [tid, entry] : pending_) {
-      out.push_back(std::move(entry.record));
+    for (auto& [tid, pending] : pending_) {
+      out.emplace_back(tid, std::move(pending.record));
     }
     pending_.clear();
     return out;
@@ -133,13 +147,13 @@ class PendingTracker {
   }
 
  private:
-  struct Entry {
+  struct Pending {
     adm::Value record;
     int64_t tracked_at_ms;
   };
   const int64_t timeout_ms_;
   mutable common::Mutex mutex_{common::LockRank::kPendingTracker};
-  std::map<int64_t, Entry> pending_ GUARDED_BY(mutex_);
+  std::map<int64_t, Pending> pending_ GUARDED_BY(mutex_);
 };
 
 /// Store-side ack batcher: groups acked tracking ids per intake partition
@@ -151,9 +165,14 @@ class AckCollector {
       : bus_(std::move(bus)), conn_(std::move(conn)),
         window_ms_(window_ms), window_start_ms_(common::NowMillis()) {}
 
-  void OnPersisted(int64_t tid) {
+  void OnPersisted(int64_t tid) { OnPersisted(std::span(&tid, 1)); }
+
+  /// A stored frame's tracking-id column; ids of -1 are skipped.
+  void OnPersisted(std::span<const int64_t> tids) {
     common::MutexLock lock(mutex_);
-    grouped_[TrackingIdPartition(tid)].push_back(tid);
+    for (int64_t tid : tids) {
+      if (tid >= 0) grouped_[TrackingIdPartition(tid)].push_back(tid);
+    }
     if (common::NowMillis() - window_start_ms_ >= window_ms_) {
       FlushLocked();
     }

@@ -73,13 +73,21 @@ Status MetaFeedOperator::ProcessFrameSandboxed(const FramePtr& frame,
     // remnant back to the core operator; record-at-a-time reprocessing
     // below has identical semantics (every healthy record is processed
     // exactly once more, every offender is skipped and logged).
-    for (const Value& record : frame->records()) {
+    const std::vector<Value>& records = frame->records();
+    for (size_t i = 0; i < records.size(); ++i) {
+      const Value& record = records[i];
       try {
         // Faults injected here hit the record-at-a-time remnant slice —
         // the second chance a record gets after a whole-frame failure.
+        // The slice keeps the record's tracking id and a share of the
+        // frame's byte estimate.
         ASTERIX_FAILPOINT_THROW("feeds.meta.slice");
+        std::vector<int64_t> tid;
+        if (frame->tracked()) tid.push_back(frame->tracking_id(i));
         RETURN_IF_ERROR(core_->ProcessFrame(
-            hyracks::MakeFrame({record}, frame->trace()), ctx));
+            hyracks::MakeFrame({record}, frame->ApproxBytes() / records.size(),
+                               frame->trace(), std::move(tid)),
+            ctx));
         consecutive_failures_ = 0;
       } catch (const std::exception& e) {
         ++soft_failures_;

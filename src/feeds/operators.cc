@@ -15,6 +15,37 @@ using common::Status;
 using hyracks::FramePtr;
 using hyracks::TaskContext;
 
+namespace {
+
+// Claims `count` tracking-id sequence numbers, unique in the process: a
+// successor intake keeps its predecessor's unacked ids, and an ack for an
+// old id must never match a fresh one.
+int64_t ClaimTrackingSeqs(size_t count) {
+  static std::atomic<int64_t> next{0};
+  // relaxed: uniqueness needs only the atomicity of the RMW.
+  return next.fetch_add(static_cast<int64_t>(count),
+                        std::memory_order_relaxed);
+}
+
+// A frame of ledger entries under their own tracking ids (replay and
+// handoff frames).
+FramePtr LedgerFrame(std::vector<PendingTracker::Entry> entries,
+                     hyracks::TraceContext tc) {
+  std::vector<Value> records;
+  std::vector<int64_t> tids;
+  records.reserve(entries.size());
+  tids.reserve(entries.size());
+  size_t bytes = 0;
+  for (auto& [tid, record] : entries) {
+    bytes += record.ApproxSizeBytes();
+    tids.push_back(tid);
+    records.push_back(std::move(record));
+  }
+  return hyracks::MakeFrame(std::move(records), bytes, tc, std::move(tids));
+}
+
+}  // namespace
+
 // --- FeedCollectOperator ------------------------------------------------
 
 FeedCollectOperator::FeedCollectOperator(
@@ -128,9 +159,23 @@ Status FeedIntakeOperator::Open(TaskContext* ctx) {
 
   SubscriberOptions options =
       IntakeSubscriberOptions(pipeline_, ctx->partition());
+  at_least_once_ = pipeline_.policy.at_least_once() &&
+                   options.mode != ExcessMode::kDiscard &&
+                   options.mode != ExcessMode::kThrottle;
+  if (at_least_once_) {
+    pending_ = std::make_unique<PendingTracker>(
+        pipeline_.policy.ack_timeout_ms());
+    PendingTracker* tracker = pending_.get();
+    pipeline_.ack_bus->Register(
+        pipeline_.connection_id, ctx->partition(),
+        [tracker](const std::vector<int64_t>& tids) {
+          tracker->Ack(tids);
+        });
+  }
 
   // Resume any state handed off by a predecessor instance (recovery):
-  // oldest first — the predecessor's unforwarded frames...
+  // oldest first — the predecessor's unforwarded frames, already tagged
+  // with its (process-unique) tracking ids...
   std::string state_key = pipeline_.connection_id + ":intake:" +
                           std::to_string(ctx->partition());
   for (FramePtr& frame : feed_manager_->TakeZombieState(state_key)) {
@@ -149,28 +194,36 @@ Status FeedIntakeOperator::Open(TaskContext* ctx) {
       for (;;) {
         std::vector<FramePtr> batch = handoff->queue->NextBatch(0);
         if (batch.empty()) break;
-        for (FramePtr& frame : batch) held_.push_back(std::move(frame));
+        for (FramePtr& frame : batch) {
+          held_.push_back(Tag(frame, ctx->partition()));
+        }
       }
     }
   }
   if (queue_ == nullptr) queue_ = source_joint_->Subscribe(options);
   pipeline_.metrics->RegisterIntakeQueue(queue_);
-
-  at_least_once_ = pipeline_.policy.at_least_once() &&
-                   options.mode != ExcessMode::kDiscard &&
-                   options.mode != ExcessMode::kThrottle;
-  if (at_least_once_) {
-    pending_ = std::make_unique<PendingTracker>(
-        pipeline_.policy.ack_timeout_ms());
-    PendingTracker* tracker = pending_.get();
-    pipeline_.ack_bus->Register(
-        pipeline_.connection_id, ctx->partition(),
-        [tracker](const std::vector<int64_t>& tids) {
-          tracker->Ack(tids);
-        });
-  }
-
   return Status::OK();
+}
+
+FramePtr FeedIntakeOperator::Tag(const FramePtr& frame, int partition) {
+  if (!at_least_once_) {
+    if (!frame->tracked()) return frame;
+    return hyracks::MakeFrame(frame->records(), frame->ApproxBytes(),
+                              frame->trace());
+  }
+  // Mint ids for every frame from the queue, even one carrying ids minted
+  // upstream (a child feed reading its parent's joint): acks for this
+  // connection must route back to this intake partition.
+  const std::vector<Value>& records = frame->records();
+  std::vector<int64_t> tids(records.size(), -1);
+  const int64_t seq = ClaimTrackingSeqs(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].is_record()) {
+      tids[i] = MakeTrackingId(partition, seq + static_cast<int64_t>(i));
+    }
+  }
+  return hyracks::MakeFrame(records, frame->ApproxBytes(), frame->trace(),
+                            std::move(tids));
 }
 
 Status FeedIntakeOperator::ForwardFrame(const FramePtr& frame,
@@ -203,47 +256,24 @@ Status FeedIntakeOperator::ForwardFrame(const FramePtr& frame,
 Status FeedIntakeOperator::ForwardTagged(const FramePtr& frame,
                                          const hyracks::TraceContext& tc,
                                          TaskContext* ctx) {
-  if (!at_least_once_) {
-    if (tc.sampled() && !frame->trace().sampled()) {
-      // Re-wrap to carry the trace minted above (records are shared
-      // values; only the frame shell is rebuilt).
-      std::vector<Value> records = frame->records();
-      return ctx->writer()->NextFrame(hyracks::MakeFrame(
-          std::move(records), frame->ApproxBytes(), tc));
-    }
-    return ctx->writer()->NextFrame(frame);
+  // Remember tracked records until the store stage acks them (§5.6).
+  // Re-tracking a replayed record only restarts its timeout.
+  if (at_least_once_ && frame->tracked()) {
+    pending_->Track(frame->tracking_ids(), frame->records());
   }
-  // Augment records with tracking ids at forward time and remember them
-  // until the store stage acks (§5.6). Records restored from a zombie
-  // handoff already carry a tracking id; they keep it and are re-tracked
-  // so a second failure still replays them.
-  std::vector<Value> augmented;
-  augmented.reserve(frame->record_count());
-  for (const Value& record : frame->records()) {
-    Value copy = record;
-    if (copy.is_record()) {
-      int64_t tid;
-      const Value* existing = copy.GetField(kTrackingIdField);
-      if (existing != nullptr &&
-          existing->tag() == adm::TypeTag::kInt64) {
-        tid = existing->AsInt64();
-      } else {
-        tid = MakeTrackingId(ctx->partition(), next_seq_++);
-        copy.SetField(kTrackingIdField, Value::Int64(tid));
-      }
-      pending_->Track(tid, copy);
-    }
-    augmented.push_back(std::move(copy));
+  if (tc.sampled() && !frame->trace().sampled()) {
+    // Re-wrap to carry the trace minted above (records are shared
+    // values; only the frame shell is rebuilt).
+    return ctx->writer()->NextFrame(
+        hyracks::MakeFrame(frame->records(), frame->ApproxBytes(), tc,
+                           frame->tracking_ids()));
   }
-  return ctx->writer()->NextFrame(
-      hyracks::MakeFrame(std::move(augmented), tc));
+  return ctx->writer()->NextFrame(frame);
 }
 
 Status FeedIntakeOperator::Run(TaskContext* ctx) {
   // Tracking ids embed the partition for ack routing.
-  next_seq_ = 0;
   const int partition = ctx->partition();
-  (void)partition;
 
   while (true) {
     if (ctx->ShouldStop()) {
@@ -257,7 +287,7 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
         std::vector<FramePtr> batch = queue_->NextBatch(0);
         if (batch.empty()) break;
         for (FramePtr& frame : batch) {
-          RETURN_IF_ERROR(ForwardFrame(frame, ctx));
+          RETURN_IF_ERROR(ForwardFrame(Tag(frame, partition), ctx));
         }
       }
       return Status::OK();
@@ -273,9 +303,9 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
       std::vector<FramePtr> state = std::move(held_);
       held_.clear();
       if (at_least_once_) {
-        std::vector<Value> unacked = pending_->TakeAll();
+        std::vector<PendingTracker::Entry> unacked = pending_->TakeAll();
         if (!unacked.empty()) {
-          state.push_back(hyracks::MakeFrame(std::move(unacked)));
+          state.push_back(LedgerFrame(std::move(unacked), {}));
         }
       }
       std::string state_key = pipeline_.connection_id + ":intake:" +
@@ -301,9 +331,9 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
     if (!batch.empty()) {
       for (FramePtr& frame : batch) {
         if (mode_.load() == Mode::kBuffer) {
-          held_.push_back(std::move(frame));
+          held_.push_back(Tag(frame, partition));
         } else {
-          RETURN_IF_ERROR(ForwardFrame(frame, ctx));
+          RETURN_IF_ERROR(ForwardFrame(Tag(frame, partition), ctx));
         }
       }
     } else if (queue_->ended()) {
@@ -322,7 +352,7 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
       if (now - last_replay_check_ms_ >
           pipeline_.policy.ack_timeout_ms() / 2) {
         last_replay_check_ms_ = now;
-        std::vector<Value> expired = pending_->TakeExpired();
+        std::vector<PendingTracker::Entry> expired = pending_->TakeExpired();
         if (!expired.empty()) {
           pipeline_.metrics->records_replayed.fetch_add(
               static_cast<int64_t>(expired.size()));
@@ -332,8 +362,7 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
           // "replay" span links the restart for trace-conservation
           // accounting.
           hyracks::TraceContext replay_tc = Tracer::Instance().StartTrace();
-          FramePtr replay =
-              hyracks::MakeFrame(std::move(expired), replay_tc);
+          FramePtr replay = LedgerFrame(std::move(expired), replay_tc);
           if (replay_tc.sampled()) {
             TraceSpan span;
             span.trace_id = replay_tc.id;
@@ -396,8 +425,9 @@ Status AssignOperator::ProcessFrame(const FramePtr& frame,
   appender.SetTrace(tc);
   int64_t udf_us = 0;
   const int64_t udf_start_us = tc.sampled() ? common::NowMicros() : 0;
-  for (const Value& record : frame->records()) {
-    Value current = record;
+  const std::vector<Value>& records = frame->records();
+  for (size_t i = 0; i < records.size(); ++i) {
+    Value current = records[i];
     bool filtered = false;
     const int64_t apply_start_us = tc.sampled() ? common::NowMicros() : 0;
     for (auto& udf : udfs_) {
@@ -411,7 +441,10 @@ Status AssignOperator::ProcessFrame(const FramePtr& frame,
     if (tc.sampled()) udf_us += common::NowMicros() - apply_start_us;
     if (filtered) continue;
     pipeline_.metrics->records_computed.fetch_add(1);
-    RETURN_IF_ERROR(appender.Append(std::move(current)));
+    // The output record keeps its input's tracking id.
+    RETURN_IF_ERROR(frame->tracked() ? appender.Append(std::move(current),
+                                                       frame->tracking_id(i))
+                                     : appender.Append(std::move(current)));
   }
   if (tc.sampled() && !frame->empty()) {
     // Detail span: pure UDF time, excluding downstream forwarding done
@@ -457,24 +490,20 @@ Status FeedStoreOperator::Open(TaskContext* ctx) {
 Status FeedStoreOperator::ProcessFrame(const FramePtr& frame,
                                        TaskContext* ctx) {
   (void)ctx;
-  for (const Value& record : frame->records()) {
-    Value to_store = record;
-    int64_t tid = -1;
-    const Value* tid_field = to_store.GetField(kTrackingIdField);
-    if (tid_field != nullptr &&
-        tid_field->tag() == adm::TypeTag::kInt64) {
-      tid = tid_field->AsInt64();
-      to_store.RemoveField(kTrackingIdField);
-    }
-    Status status = partition_->Insert(to_store);
-    if (!status.ok()) {
-      // Per-record insert problems (missing key, type violation) are
-      // soft failures: surface as an exception for the MetaFeed sandbox.
-      throw std::runtime_error(status.ToString());
-    }
-    pipeline_.metrics->records_stored.fetch_add(1);
-    pipeline_.metrics->store_timeline.Add(1);
-    if (acks_ != nullptr && tid >= 0) acks_->OnPersisted(tid);
+  Status status = partition_->InsertFrame(frame->records());
+  if (!status.ok()) {
+    // Per-record insert problems (missing key, type violation) are soft
+    // failures: surface as an exception for the MetaFeed sandbox, which
+    // retries the frame a record at a time.
+    throw std::runtime_error(status.ToString());
+  }
+  const int64_t stored = static_cast<int64_t>(frame->record_count());
+  pipeline_.metrics->records_stored.fetch_add(stored);
+  if (stored > 0) pipeline_.metrics->store_timeline.Add(stored);
+  // After the frame's WAL group commit (and flush, when durable): acked
+  // implies flushed.
+  if (acks_ != nullptr && frame->tracked()) {
+    acks_->OnPersisted(frame->tracking_ids());
   }
   // relaxed: export-only backlog gauges; the scraper tolerates a stale
   // point-in-time value and no control flow reads them back.

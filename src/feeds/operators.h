@@ -96,6 +96,12 @@ class FeedIntakeOperator : public hyracks::Operator {
  private:
   enum class Mode { kForward, kBuffer, kHandoff };
 
+  /// A frame from the subscriber queue, as this intake forwards it: under
+  /// at-least-once with a fresh tracking-id column minted for intake
+  /// partition `partition`; otherwise without any column (ids minted by
+  /// another connection's intake mean nothing here).
+  hyracks::FramePtr Tag(const hyracks::FramePtr& frame, int partition);
+  /// Forwards a tagged frame (tracking its ids until acked).
   [[nodiscard]] common::Status ForwardFrame(const hyracks::FramePtr& frame,
                               hyracks::TaskContext* ctx);
   [[nodiscard]] common::Status ForwardTagged(const hyracks::FramePtr& frame,
@@ -108,12 +114,11 @@ class FeedIntakeOperator : public hyracks::Operator {
   std::shared_ptr<FeedJoint> source_joint_;
   std::shared_ptr<SubscriberQueue> queue_;
   std::atomic<Mode> mode_{Mode::kForward};
-  std::vector<hyracks::FramePtr> held_;  // buffer-mode frames
+  std::vector<hyracks::FramePtr> held_;  // buffer-mode frames, tagged
 
   // At-least-once state.
   bool at_least_once_ = false;
   std::unique_ptr<PendingTracker> pending_;
-  int64_t next_seq_ = 0;
   int64_t last_replay_check_ms_ = 0;
 };
 

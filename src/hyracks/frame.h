@@ -41,9 +41,12 @@ class Frame {
   /// FrameAppender tracks a running byte count), skipping the walk.
   Frame(std::vector<adm::Value> records, size_t approx_bytes)
       : records_(std::move(records)), approx_bytes_(approx_bytes) {}
+  /// `tracking_ids` is empty (an untracked frame) or holds one
+  /// at-least-once tracking id per record, -1 for an untracked record.
   Frame(std::vector<adm::Value> records, size_t approx_bytes,
-        TraceContext trace)
+        TraceContext trace, std::vector<int64_t> tracking_ids = {})
       : records_(std::move(records)),
+        tracking_ids_(std::move(tracking_ids)),
         approx_bytes_(approx_bytes),
         trace_(trace) {}
   Frame(std::vector<adm::Value> records, TraceContext trace)
@@ -67,9 +70,21 @@ class Frame {
 
   const TraceContext& trace() const { return trace_; }
 
+  /// The at-least-once tracking-id column (§5.6): minted by the intake
+  /// stage, carried beside the records by every operator that re-batches
+  /// them, and acked by the store. Empty when the frame is untracked;
+  /// otherwise parallel to records(), with -1 for an untracked record.
+  const std::vector<int64_t>& tracking_ids() const { return tracking_ids_; }
+  bool tracked() const { return !tracking_ids_.empty(); }
+  /// Tracking id of record `i`, or -1.
+  int64_t tracking_id(size_t i) const {
+    return tracking_ids_.empty() ? -1 : tracking_ids_[i];
+  }
+
  private:
   friend class FramePool;  // sets pool_ at pooled construction
   std::vector<adm::Value> records_;
+  std::vector<int64_t> tracking_ids_;
   size_t approx_bytes_ = 0;
   TraceContext trace_;
   /// Owning pool for recycled frames; null for plain MakeFrame frames.
@@ -93,9 +108,10 @@ inline FramePtr MakeFrame(std::vector<adm::Value> records,
 }
 
 inline FramePtr MakeFrame(std::vector<adm::Value> records, size_t approx_bytes,
-                          TraceContext trace) {
+                          TraceContext trace,
+                          std::vector<int64_t> tracking_ids = {}) {
   return std::make_shared<const Frame>(std::move(records), approx_bytes,
-                                       trace);
+                                       trace, std::move(tracking_ids));
 }
 
 /// Control-or-data message travelling between operator instances.
@@ -157,6 +173,14 @@ class FrameAppender {
     return common::Status::OK();
   }
 
+  /// Appends a record with its tracking id; the emitted frame carries the
+  /// id column (-1 for any record of it appended without an id).
+  [[nodiscard]] common::Status Append(adm::Value record, int64_t tracking_id) {
+    pending_tids_.resize(pending_.size(), -1);
+    pending_tids_.push_back(tracking_id);
+    return Append(std::move(record));
+  }
+
   /// Emits any buffered records as a final (possibly short) frame.
   /// Out-of-line (frame_pool.cc): the pooled path recycles buffers.
   [[nodiscard]] common::Status FlushFrame();
@@ -180,6 +204,7 @@ class FrameAppender {
   const size_t max_bytes_;
   FramePool* pool_;
   std::vector<adm::Value> pending_;
+  std::vector<int64_t> pending_tids_;  // empty unless records came tracked
   size_t pending_bytes_ = 0;
   TraceContext pending_trace_;
   TraceContext fixed_trace_;

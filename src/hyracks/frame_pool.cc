@@ -138,26 +138,30 @@ FramePtr FramePool::MakeFrame(std::vector<adm::Value> records,
 }
 
 FramePtr FramePool::MakeFrame(std::vector<adm::Value> records,
-                              size_t approx_bytes, TraceContext trace) {
+                              size_t approx_bytes, TraceContext trace,
+                              std::vector<int64_t> tracking_ids) {
   std::shared_ptr<Frame> frame = std::allocate_shared<Frame>(
-      BlockAllocator<Frame>(this), std::move(records), approx_bytes, trace);
+      BlockAllocator<Frame>(this), std::move(records), approx_bytes, trace,
+      std::move(tracking_ids));
   frame->pool_ = this;
   return frame;
 }
 
 common::Status FrameAppender::FlushFrame() {
   if (pending_.empty()) return common::Status::OK();
+  if (!pending_tids_.empty()) pending_tids_.resize(pending_.size(), -1);
   FramePtr frame;
   if (pool_ != nullptr) {
     frame = pool_->MakeFrame(std::move(pending_), pending_bytes_,
-                             pending_trace_);
+                             pending_trace_, std::move(pending_tids_));
     // Steady state: the vector this frame's predecessor recycled.
     pending_ = pool_->AcquireRecords();
   } else {
     frame = hyracks::MakeFrame(std::move(pending_), pending_bytes_,
-                               pending_trace_);
+                               pending_trace_, std::move(pending_tids_));
     pending_.clear();
   }
+  pending_tids_.clear();
   pending_bytes_ = 0;
   pending_trace_ = TraceContext{};
   return writer_->NextFrame(frame);

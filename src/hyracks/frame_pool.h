@@ -62,7 +62,8 @@ class FramePool {
   FramePtr MakeFrame(std::vector<adm::Value> records, size_t approx_bytes);
   FramePtr MakeFrame(std::vector<adm::Value> records, TraceContext trace);
   FramePtr MakeFrame(std::vector<adm::Value> records, size_t approx_bytes,
-                     TraceContext trace);
+                     TraceContext trace,
+                     std::vector<int64_t> tracking_ids = {});
 
   // --- stats (tests + bench) ---
   // relaxed: monitoring reads of independent stats counters/gauges; no

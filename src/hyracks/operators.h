@@ -67,9 +67,9 @@ class IndexInsertOperator : public Operator {
   [[nodiscard]] common::Status ProcessFrame(const FramePtr& frame,
                               TaskContext* ctx) override {
     (void)ctx;
-    for (const adm::Value& record : frame->records()) {
-      RETURN_IF_ERROR(partition_->Insert(record));
-      if (on_insert_) on_insert_(record);
+    RETURN_IF_ERROR(partition_->InsertFrame(frame->records()));
+    if (on_insert_) {
+      for (const adm::Value& record : frame->records()) on_insert_(record);
     }
     return common::Status::OK();
   }

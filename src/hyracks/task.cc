@@ -241,18 +241,30 @@ Status Router::NextFrame(const FramePtr& frame) {
       return Status::OK();
     }
     case ConnectorKind::kMToNHash: {
-      // Re-batch records per target partition.
-      std::map<size_t, std::vector<adm::Value>> buckets;
-      for (const adm::Value& record : frame->records()) {
+      // Re-batch records (and their tracking ids) per target partition.
+      struct Bucket {
+        std::vector<adm::Value> records;
+        std::vector<int64_t> tids;
+      };
+      std::map<size_t, Bucket> buckets;
+      const std::vector<adm::Value>& records = frame->records();
+      for (size_t i = 0; i < records.size(); ++i) {
         std::string key = connector_.key_extractor
-                              ? connector_.key_extractor(record)
-                              : record.ToAdmString();
-        size_t target = std::hash<std::string>{}(key) % targets_.size();
-        buckets[target].push_back(record);
+                              ? connector_.key_extractor(records[i])
+                              : records[i].ToAdmString();
+        Bucket& bucket =
+            buckets[std::hash<std::string>{}(key) % targets_.size()];
+        bucket.records.push_back(records[i]);
+        if (frame->tracked()) bucket.tids.push_back(frame->tracking_id(i));
       }
-      for (auto& [target, records] : buckets) {
+      for (auto& [target, bucket] : buckets) {
+        // Bucket frames only queue at tasks: a record-count share of the
+        // input's byte estimate stands in for a walk of every record.
+        const size_t bytes =
+            frame->ApproxBytes() * bucket.records.size() / records.size();
         targets_[target]->Enqueue(FrameMessage::Data(
-            MakeFrame(std::move(records), frame->trace())));
+            MakeFrame(std::move(bucket.records), bytes, frame->trace(),
+                      std::move(bucket.tids))));
       }
       return Status::OK();
     }

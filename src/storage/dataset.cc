@@ -32,37 +32,52 @@ DatasetPartition::DatasetPartition(DatasetDef def, int partition_id,
 Status DatasetPartition::Open() { return wal_.Open(); }
 
 Status DatasetPartition::Insert(const adm::Value& record) {
-  if (!record.is_record()) {
-    return Status::InvalidArgument("dataset '" + def_.name +
-                                   "' accepts only records");
-  }
-  const adm::Value* pk = record.GetField(def_.primary_key_field);
-  if (pk == nullptr || pk->is_null()) {
-    return Status::InvalidArgument("record lacks primary key field '" +
-                                   def_.primary_key_field + "'");
-  }
-  if (def_.validate_type && types_ != nullptr) {
-    RETURN_IF_ERROR(types_->Conforms(record, def_.datatype));
-  }
-  auto key = EncodeKey(*pk);
-  if (!key.ok()) return key.status();
+  return InsertFrame({&record, 1});
+}
 
-  // Fires before the WAL write: the record is fully rejected, the store
-  // operator reports a soft failure, and the at-least-once protocol must
-  // replay it.
-  ASTERIX_FAILPOINT("storage.dataset.insert");
+Status DatasetPartition::InsertFrame(std::span<const adm::Value> records) {
+  if (records.empty()) return Status::OK();
+  std::vector<std::string> keys;
+  keys.reserve(records.size());
+  for (const adm::Value& record : records) {
+    if (!record.is_record()) {
+      return Status::InvalidArgument("dataset '" + def_.name +
+                                     "' accepts only records");
+    }
+    const adm::Value* pk = record.GetField(def_.primary_key_field);
+    if (pk == nullptr || pk->is_null()) {
+      return Status::InvalidArgument("record lacks primary key field '" +
+                                     def_.primary_key_field + "'");
+    }
+    if (def_.validate_type && types_ != nullptr) {
+      RETURN_IF_ERROR(types_->Conforms(record, def_.datatype));
+    }
+    auto key = EncodeKey(*pk);
+    if (!key.ok()) return key.status();
+    // Fires before the WAL write: the whole frame is rejected, the store
+    // operator's sandbox retries it a record at a time, and the
+    // at-least-once protocol replays what still fails.
+    ASTERIX_FAILPOINT("storage.dataset.insert");
+    keys.push_back(std::move(key).value());
+  }
+
   // Write-ahead log first: this is the persistence point that the
   // at-least-once protocol acks from.
-  RETURN_IF_ERROR(wal_.Append(record.ToAdmString()));
-  RETURN_IF_ERROR(primary_.Insert(key.value(), record));
+  WalBatch batch;
+  for (const adm::Value& record : records) batch.Add(record);
+  RETURN_IF_ERROR(wal_.Append(batch));
+  RETURN_IF_ERROR(primary_.InsertBatch(keys, records));
   {
     common::MutexLock lock(indexes_mutex_);
     for (const auto& index : secondaries_) {
-      RETURN_IF_ERROR(index->Insert(record, key.value()));
+      for (size_t i = 0; i < records.size(); ++i) {
+        RETURN_IF_ERROR(index->Insert(records[i], keys[i]));
+      }
     }
   }
   // relaxed: stats counter; durability ordering lives in the WAL/index.
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  inserts_.fetch_add(static_cast<int64_t>(records.size()),
+                     std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,9 @@ struct DatasetDef {
   std::vector<std::string> nodegroup;
   /// Validate records against `datatype` on insert.
   bool validate_type = false;
-  /// Flush the WAL on every insert (durability knob).
+  /// Flush the WAL once per stored frame (group commit), before any
+  /// record of that frame is acked (durability knob). This is fflush to
+  /// the OS, not fsync.
   bool durable_writes = false;
   /// Storage write-path knobs for this dataset's primary index (hash
   /// partition count, memtable size, async maintenance).
@@ -56,9 +59,16 @@ class DatasetPartition {
 
   [[nodiscard]] common::Status Open();
 
-  /// Inserts (upserts) one record: WAL append, primary index insert,
-  /// secondary index maintenance. Thread-safe.
+  /// Inserts (upserts) one record: InsertFrame of a one-record frame.
   [[nodiscard]] common::Status Insert(const adm::Value& record);
+
+  /// Inserts (upserts) a frame of records. Every record is validated and
+  /// its key encoded first, so one bad record fails the frame before
+  /// anything is written. Then one WAL group commit (one entry per record,
+  /// one flush when durable), one primary-index insert per LSM partition
+  /// touched and one pass over the secondary indexes. Thread-safe.
+  [[nodiscard]] common::Status InsertFrame(
+      std::span<const adm::Value> records);
 
   /// Point lookup by primary key value.
   [[nodiscard]] common::Result<adm::Value> Get(const adm::Value& primary_key) const;

@@ -128,8 +128,18 @@ void LsmIndex::MergeNowLocked() {
 }
 
 Status LsmIndex::Insert(const std::string& key, adm::Value value) {
-  ASTERIX_FAILPOINT("storage.lsm.insert");
-  size_t bytes = key.size() + value.ApproxSizeBytes();
+  const uint32_t row = 0;
+  return InsertRows({&key, 1}, {&value, 1}, {&row, 1});
+}
+
+Status LsmIndex::InsertRows(std::span<const std::string> keys,
+                            std::span<const adm::Value> values,
+                            std::span<const uint32_t> rows) {
+  size_t bytes = 0;
+  for (uint32_t r : rows) {
+    ASTERIX_FAILPOINT("storage.lsm.insert");
+    bytes += keys[r].size() + values[r].ApproxSizeBytes();
+  }
   // Governor admission before any mutation: an exhausted "memtable" pool
   // surfaces as a typed error the at-least-once protocol simply retries
   // (the charge mirrors memtable_bytes_ and is released at flush time).
@@ -147,9 +157,9 @@ Status LsmIndex::Insert(const std::string& key, adm::Value value) {
     });
     stats_.insert_stall_ms += stall.ElapsedMillis();
   }
-  memtable_[key] = std::move(value);
+  for (uint32_t r : rows) memtable_[keys[r]] = values[r];
   memtable_bytes_ += bytes;
-  ++stats_.inserts;
+  stats_.inserts += static_cast<int64_t>(rows.size());
   if (memtable_bytes_ >= options_.memtable_bytes_limit) {
     if (options_.async_maintenance && maintenance_running_) {
       SealLocked();
@@ -406,6 +416,29 @@ size_t PartitionedLsmIndex::PartitionOf(const std::string& key) const {
 Status PartitionedLsmIndex::Insert(const std::string& key,
                                    adm::Value value) {
   return partitions_[PartitionOf(key)]->Insert(key, std::move(value));
+}
+
+Status PartitionedLsmIndex::InsertBatch(std::span<const std::string> keys,
+                                        std::span<const adm::Value> values) {
+  if (keys.size() == 1) {  // Insert's one-record frame: nothing to group
+    const uint32_t row = 0;
+    return partitions_[PartitionOf(keys[0])]->InsertRows(keys, values,
+                                                         {&row, 1});
+  }
+  std::vector<size_t> owner(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) owner[i] = PartitionOf(keys[i]);
+  std::vector<uint32_t> rows;  // one partition's rows, in batch order
+  rows.reserve(keys.size());
+  for (size_t p = 0; p < partitions_.size(); ++p) {
+    rows.clear();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (owner[i] == p) rows.push_back(static_cast<uint32_t>(i));
+    }
+    if (!rows.empty()) {
+      RETURN_IF_ERROR(partitions_[p]->InsertRows(keys, values, rows));
+    }
+  }
+  return Status::OK();
 }
 
 Status PartitionedLsmIndex::Delete(const std::string& key) {

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,6 +107,12 @@ class LsmIndex {
   LsmIndex& operator=(const LsmIndex&) = delete;
 
   [[nodiscard]] common::Status Insert(const std::string& key, adm::Value value);
+  /// Upserts values[r] under keys[r] for every r in `rows`, in order, with
+  /// one governor admission and one hold of the mutex. Fails before any
+  /// mutation (admission or an injected fault on any row).
+  [[nodiscard]] common::Status InsertRows(std::span<const std::string> keys,
+                                          std::span<const adm::Value> values,
+                                          std::span<const uint32_t> rows);
 
   /// Deletes `key` by writing a tombstone (a null value) that shadows any
   /// older component. Tombstones are dropped when a merge produces the
@@ -212,6 +219,12 @@ class PartitionedLsmIndex {
   explicit PartitionedLsmIndex(LsmOptions options = {});
 
   [[nodiscard]] common::Status Insert(const std::string& key, adm::Value value);
+  /// Upserts values[i] under keys[i] for all i: one InsertRows per
+  /// partition touched. Partitions are independent, so a failure can
+  /// leave the rows of partitions already done inserted (upserts, so a
+  /// retry of the whole batch converges).
+  [[nodiscard]] common::Status InsertBatch(std::span<const std::string> keys,
+                                           std::span<const adm::Value> values);
   [[nodiscard]] common::Status Delete(const std::string& key);
   std::optional<adm::Value> Get(const std::string& key) const;
 

@@ -44,29 +44,61 @@ Status Wal::Open() {
   return Status::OK();
 }
 
+void WalBatch::Add(std::string_view payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  bytes_.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  bytes_.append(payload);
+  ++entries_;
+}
+
+void WalBatch::Add(const adm::Value& record) {
+  // Reserve the length word, serialize in place, then patch the length.
+  const size_t header = bytes_.size();
+  bytes_.append(sizeof(uint32_t), '\0');
+  record.AppendAdmString(&bytes_);
+  const uint32_t len =
+      static_cast<uint32_t>(bytes_.size() - header - sizeof(uint32_t));
+  std::memcpy(bytes_.data() + header, &len, sizeof(len));
+  ++entries_;
+}
+
 Status Wal::Append(const std::string& payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  return Commit({reinterpret_cast<const char*>(&len), sizeof(len)}, payload,
+                1);
+}
+
+Status Wal::Append(const WalBatch& batch) {
+  if (batch.entries() == 0) return Status::OK();
+  return Commit({}, batch.bytes(), batch.entries());
+}
+
+Status Wal::Commit(std::string_view head, std::string_view tail,
+                   int64_t entries) {
   // Before any byte lands: an injected append failure must leave the log
   // unchanged so the caller can retry (the at-least-once replay path).
-  ASTERIX_FAILPOINT("storage.wal.append");
-  // Governor admission for the framed entry, held for the append's
+  // Each entry draws the fault, as it would under single appends.
+  for (int64_t i = 0; i < entries; ++i) {
+    ASTERIX_FAILPOINT("storage.wal.append");
+  }
+  // Governor admission for the framed entries, held for the append's
   // duration (RAII covers every return path below). Exhaustion — real or
   // injected via common.memgov.reserve on the "wal" pool — is a soft
   // fault the retry/replay machinery already absorbs.
   common::MemLease lease;
   if (wal_pool_ != nullptr) {
-    Status admitted =
-        wal_pool_->TryLease(sizeof(uint32_t) + payload.size(), &lease);
+    Status admitted = wal_pool_->TryLease(head.size() + tail.size(), &lease);
     if (!admitted.ok()) return admitted;
   }
   common::MutexLock lock(mutex_);
   if (file_ == nullptr) {
     return Status::FailedPrecondition("WAL not open: " + path_);
   }
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  if (std::fwrite(&len, sizeof(len), 1, file_) != 1 ||
-      (len > 0 &&
-       std::fwrite(payload.data(), 1, len, file_) != len)) {
-    return Status::IOError("WAL append failed: " + path_);
+  for (std::string_view part : {head, tail}) {
+    if (!part.empty() &&
+        std::fwrite(part.data(), 1, part.size(), file_) != part.size()) {
+      return Status::IOError("WAL append failed: " + path_);
+    }
   }
   if (durable_) {
     common::Stopwatch timer;
@@ -76,10 +108,11 @@ Status Wal::Append(const std::string& payload) {
     metric_sync_latency_us_->Record(timer.ElapsedMicros());
     metric_syncs_->Add(1);
   }
-  ++entry_count_;
-  bytes_written_ += sizeof(len) + len;
-  metric_appends_->Add(1);
-  metric_bytes_->Add(sizeof(len) + len);
+  const int64_t bytes = static_cast<int64_t>(head.size() + tail.size());
+  entry_count_ += entries;
+  bytes_written_ += bytes;
+  metric_appends_->Add(entries);
+  metric_bytes_->Add(bytes);
   return Status::OK();
 }
 

@@ -1,13 +1,15 @@
 // Write-ahead log. Every record insert appends a log entry before the
-// in-memory indexes are updated; the paper's at-least-once protocol treats
-// "log record written to the local disk" as the persistence point that
-// triggers an ack.
+// in-memory indexes are updated (a stored frame appends its entries as one
+// group commit); the paper's at-least-once protocol treats "log record
+// written to the local disk" as the persistence point that triggers an ack.
 #pragma once
 
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 
+#include "adm/value.h"
 #include "common/mem_governor.h"
 #include "common/observability.h"
 #include "common/status.h"
@@ -16,10 +18,27 @@
 namespace asterix {
 namespace storage {
 
+/// Log entries framed for one group-commit Wal::Append: one `[len]
+/// [payload]` entry each, byte-identical to that many single appends.
+class WalBatch {
+ public:
+  void Add(std::string_view payload);
+  /// Adds an entry whose payload is `record`'s ADM text.
+  void Add(const adm::Value& record);
+
+  int64_t entries() const { return entries_; }
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+  int64_t entries_ = 0;
+};
+
 class Wal {
  public:
   /// Opens (creating or appending to) the log at `path`. When `durable` is
-  /// true every append is flushed to the OS; this is the knob the
+  /// true every Append call (a single entry or a whole batch) is flushed
+  /// to the OS with fflush, not fsync; this is the knob the
   /// Storm+MongoDB baseline comparison varies as "write concern".
   /// `wal_pool` is the governor pool bounding in-flight append bytes
   /// (each Append leases its framed size for the append's duration); null
@@ -38,6 +57,12 @@ class Wal {
   /// Appends one entry (opaque payload). Thread-safe.
   [[nodiscard]] common::Status Append(const std::string& payload);
 
+  /// Group commit: appends every entry of `batch` under one lease, one
+  /// mutex hold and one write, then (durable) one flush. All or nothing
+  /// up to the write: a refused lease or an injected fault on any entry
+  /// fails the batch before a byte lands. Thread-safe.
+  [[nodiscard]] common::Status Append(const WalBatch& batch);
+
   /// Flushes buffered entries to the OS.
   [[nodiscard]] common::Status Sync();
 
@@ -50,6 +75,10 @@ class Wal {
   const std::string& path() const { return path_; }
 
  private:
+  /// Writes `head` then `tail`, which together frame `entries` entries.
+  [[nodiscard]] common::Status Commit(std::string_view head,
+                                      std::string_view tail, int64_t entries);
+
   const std::string path_;
   const bool durable_;
   // Resolved governor pool (ctor arg or the Default() governor's "wal"

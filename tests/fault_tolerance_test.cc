@@ -404,5 +404,49 @@ TEST_F(FaultToleranceTest, AtLeastOnceReplaysGroupAcks) {
   feeds::ExternalSourceRegistry::Instance().UnregisterChannel("ft:8");
 }
 
+// Regression: a child feed reading the joint of an at-least-once parent
+// must mint its own tracking ids. When it kept the parent's ids (which
+// encode the parent's intake partition), its store acked only that one
+// partition, and every other child intake partition replayed its ledger
+// on every ack timeout, forever.
+TEST_F(FaultToleranceTest, ChildOfAtLeastOnceParentStopsReplaying) {
+  auto& source = NewSource(0, gen::Pattern::Constant(1000, 1500));
+  SetupFeed("ft:10", &source.channel(), {"E"});
+  ASSERT_TRUE(db_->CreateDataset(TweetsDataset("Cooked", {"F"})).ok());
+  feeds::FeedDef child;
+  child.name = "ChildFeed";
+  child.is_primary = false;
+  child.parent_feed = "Feed";
+  ASSERT_TRUE(db_->CreateFeed(child).ok());
+  ASSERT_TRUE(db_->ConnectFeed("Feed", "Sink", "FaultTolerant").ok());
+  ASSERT_TRUE(db_->ConnectFeed("ChildFeed", "Cooked", "FaultTolerant").ok());
+  auto conn = db_->feed_manager().GetConnection("ChildFeed", "Cooked");
+  ASSERT_TRUE(conn.ok());
+  // One child intake per instance of the parent's compute stage.
+  ASSERT_GT(conn->intake_locations.size(), 1u);
+
+  source.Start();
+  source.Join();
+  const int64_t sent = source.tweets_sent();
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        return db_->CountDataset("Sink").value() == sent &&
+               db_->CountDataset("Cooked").value() == sent;
+      },
+      20000))
+      << "sent=" << sent << " sink=" << db_->CountDataset("Sink").value()
+      << " cooked=" << db_->CountDataset("Cooked").value();
+  auto metrics = db_->FeedMetrics("ChildFeed", "Cooked");
+  ASSERT_NE(metrics, nullptr);
+  // Acks still grouped in a store's window when the flow stopped are sent
+  // with the next stored frame, so one round of replays may follow the end
+  // of the flow, one ack timeout (2 s) later. After that it must stop.
+  common::SleepMillis(3500);
+  const int64_t replayed = metrics->records_replayed.load();
+  common::SleepMillis(1000);
+  EXPECT_EQ(metrics->records_replayed.load(), replayed);
+  feeds::ExternalSourceRegistry::Instance().UnregisterChannel("ft:10");
+}
+
 }  // namespace
 }  // namespace asterix

@@ -551,7 +551,8 @@ TEST(AckTest, PendingTrackerAckAndExpiry) {
   common::SleepMillis(80);
   auto expired = tracker.TakeExpired();
   ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0].GetField("id")->AsString(), "b");
+  EXPECT_EQ(expired[0].first, 2);
+  EXPECT_EQ(expired[0].second.GetField("id")->AsString(), "b");
   // Timestamps reset: not immediately expired again.
   EXPECT_TRUE(tracker.TakeExpired().empty());
 }

@@ -403,6 +403,86 @@ TEST_F(ClusterFixture, FrameAppenderBatchesByCount) {
   EXPECT_EQ(writer.records, 25);
 }
 
+TEST_F(ClusterFixture, FrameAppenderCarriesTrackingIds) {
+  struct KeepingWriter : IFrameWriter {
+    std::vector<FramePtr> frames;
+    common::Status NextFrame(const FramePtr& f) override {
+      frames.push_back(f);
+      return common::Status::OK();
+    }
+  } writer;
+  FrameAppender appender(&writer, /*max_records=*/4);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(appender.Append(Value::Int64(i), 100 + i).ok());
+  }
+  ASSERT_TRUE(appender.FlushFrame().ok());
+  ASSERT_TRUE(appender.Append(Value::Int64(6)).ok());  // untracked frame
+  ASSERT_TRUE(appender.FlushFrame().ok());
+  ASSERT_EQ(writer.frames.size(), 3u);
+  EXPECT_EQ(writer.frames[0]->tracking_ids(),
+            (std::vector<int64_t>{100, 101, 102, 103}));
+  EXPECT_EQ(writer.frames[1]->tracking_ids(),
+            (std::vector<int64_t>{104, 105}));
+  EXPECT_FALSE(writer.frames[2]->tracked());
+  EXPECT_EQ(writer.frames[2]->tracking_id(0), -1);
+}
+
+// The hash connector re-batches records per target; each record keeps its
+// tracking id, and the bucket frames split the input's byte estimate.
+TEST_F(ClusterFixture, HashConnectorCarriesTrackingIds) {
+  struct TrackedSource : Operator {
+    bool is_source() const override { return true; }
+    common::Status Run(TaskContext* ctx) override {
+      std::vector<int64_t> tids;
+      for (int i = 0; i < 300; ++i) tids.push_back(1000 + i);
+      return ctx->writer()->NextFrame(
+          MakeFrame(MakeRecords(300), 300 * 100, {}, std::move(tids)));
+    }
+    common::Status ProcessFrame(const FramePtr&, TaskContext*) override {
+      return common::Status::NotSupported("source operator");
+    }
+  };
+  struct Seen {
+    std::atomic<int> records{0};
+    std::atomic<int> mismatches{0};
+    std::atomic<size_t> bytes{0};
+  };
+  struct CheckingSink : Operator {
+    explicit CheckingSink(Seen* seen) : seen(seen) {}
+    common::Status ProcessFrame(const FramePtr& frame,
+                                TaskContext*) override {
+      for (size_t i = 0; i < frame->record_count(); ++i) {
+        const int64_t n = frame->records()[i].GetField("n")->AsInt64();
+        if (frame->tracking_id(i) != 1000 + n) ++seen->mismatches;
+        ++seen->records;
+      }
+      seen->bytes += frame->ApproxBytes();
+      return common::Status::OK();
+    }
+    Seen* seen;
+  };
+  Seen seen;
+  JobSpec spec;
+  spec.name = "hash-tracked";
+  int src = spec.AddOperator(
+      {"source", {{}, 1}, [](int) { return std::make_unique<TrackedSource>(); },
+       ""});
+  int snk = spec.AddOperator(
+      {"sink",
+       {{"A", "B", "C"}, 0},
+       [&](int) { return std::make_unique<CheckingSink>(&seen); },
+       ""});
+  spec.Connect(src, snk, {ConnectorKind::kMToNHash, [](const Value& r) {
+                            return r.GetField("id")->AsString();
+                          }});
+  auto job = cluster_->StartJob(std::move(spec));
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_TRUE((*job)->Wait(5000));
+  EXPECT_EQ(seen.records.load(), 300);
+  EXPECT_EQ(seen.mismatches.load(), 0);
+  EXPECT_EQ(seen.bytes.load(), 300u * 100);  // shares of the input's bytes
+}
+
 }  // namespace
 }  // namespace hyracks
 }  // namespace asterix

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "feeds/subscriber.h"
 #include "hyracks/frame.h"
 #include "hyracks/frame_pool.h"
+#include "storage/dataset.h"
 #include "storage/lsm_index.h"
 #include "storage/wal.h"
 #include "testing_util.h"
@@ -423,6 +425,53 @@ TEST(MemGovernorIntegration, WalAppendFailsTypedOnExhaustedPool) {
   EXPECT_EQ(wal.entry_count(), 1);
   EXPECT_EQ(wal_pool->used(), 0);  // per-append lease fully returned
   std::remove(path.c_str());
+}
+
+// A frame's WAL group commit leases the whole batch at once: a pool with
+// room for a record but not for the frame fails the frame before any byte
+// lands, and nothing reaches the primary index either.
+TEST(MemGovernorIntegration, DatasetFrameFailsWholeOnExhaustedWalPool) {
+  // DatasetPartition leases from the Default() governor's "wal" pool.
+  MemPool* wal_pool =
+      MemGovernor::Default().GetPool(MemGovernor::kWalPool);
+  struct RestoreCapacity {
+    MemPool* pool;
+    int64_t capacity;
+    ~RestoreCapacity() { pool->SetCapacity(capacity); }
+  } restore{wal_pool, wal_pool->capacity()};
+  ASSERT_EQ(wal_pool->used(), 0);
+
+  storage::DatasetDef def;
+  def.name = "Frames";
+  def.primary_key_field = "id";
+  def.durable_writes = true;
+  std::string dir = std::string(::testing::TempDir()) + "mem_test_frame";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  storage::DatasetPartition partition(def, 0, dir, nullptr);
+  ASSERT_TRUE(partition.Open().ok());
+  std::vector<adm::Value> frame;
+  for (int i = 0; i < 8; ++i) {
+    frame.push_back(adm::Value::Record(
+        {{"id", adm::Value::Int64(i)}, {"pad", adm::Value::String("xxxx")}}));
+  }
+  const int64_t one_entry =
+      static_cast<int64_t>(sizeof(uint32_t) + frame[0].ToAdmString().size());
+  wal_pool->SetCapacity(2 * one_entry);  // a record fits, the frame not
+
+  Status starved = partition.InsertFrame(frame);
+  EXPECT_TRUE(starved.IsResourceExhausted()) << starved.ToString();
+  EXPECT_EQ(partition.wal().entry_count(), 0);
+  EXPECT_EQ(std::filesystem::file_size(partition.wal().path()), 0u);
+  EXPECT_EQ(partition.record_count(), 0);
+  EXPECT_EQ(wal_pool->used(), 0);
+
+  wal_pool->SetCapacity(1 << 20);
+  ASSERT_TRUE(partition.InsertFrame(frame).ok());
+  EXPECT_EQ(partition.wal().entry_count(), 8);
+  EXPECT_EQ(partition.record_count(), 8);
+  EXPECT_EQ(wal_pool->used(), 0);  // the frame's lease fully returned
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MemGovernorIntegration, LsmInsertFailsTypedAndFlushReleases) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/observability.h"
 #include "common/rng.h"
 #include "storage/dataset.h"
 #include "storage/key.h"
@@ -112,12 +113,38 @@ TEST(WalTest, AppendWithoutOpenFails) {
   EXPECT_FALSE(wal.Append("x").ok());
 }
 
+TEST(WalTest, BatchAppendIsOneEntryPerPayload) {
+  std::string dir = TempDir("wal_batch");
+  Wal wal(dir + "/batch.wal");
+  ASSERT_TRUE(wal.Open().ok());
+  WalBatch batch;
+  batch.Add("one");
+  batch.Add("");
+  batch.Add(Value::Record({{"id", Value::Int64(3)}}));
+  ASSERT_TRUE(wal.Append(batch).ok());
+  ASSERT_TRUE(wal.Append(WalBatch()).ok());  // empty batch: no entry
+  ASSERT_TRUE(wal.Append("four").ok());
+  EXPECT_EQ(wal.entry_count(), 4);
+  EXPECT_EQ(wal.bytes_written(), 4 * 4 + 3 + 0 + 9 + 4);
+  std::vector<std::string> replayed;
+  ASSERT_TRUE(
+      wal.Replay([&](const std::string& e) { replayed.push_back(e); })
+          .ok());
+  EXPECT_EQ(replayed,
+            (std::vector<std::string>{"one", "", "{\"id\": 3}", "four"}));
+}
+
 // Crash recovery: a crash can cut the log anywhere — at a record boundary,
-// inside a payload, even inside the 4-byte length prefix. Replay must
-// return exactly the complete prefix: every entry fully on disk before the
-// cut, the torn tail dropped, nothing duplicated or invented.
+// inside a payload, even inside the 4-byte length prefix, and inside a
+// group-commit batch. Replay must return exactly the complete prefix:
+// every entry fully on disk before the cut, the torn tail dropped, nothing
+// duplicated or invented.
 TEST(WalTest, ReplayAfterCrashTruncationRecoversExactPrefix) {
   constexpr int kEntries = 100;
+  // Entries from kFirstBatched on are appended in group-commit batches of
+  // kBatch; the on-disk format is the same either way.
+  constexpr int kFirstBatched = 50;
+  constexpr int kBatch = 8;
   // "entry-0000" is 10 bytes; with the 4-byte length prefix every record
   // occupies exactly 14 bytes, so cut points are easy to aim.
   constexpr uint64_t kRecordBytes = 14;
@@ -138,6 +165,10 @@ TEST(WalTest, ReplayAfterCrashTruncationRecoversExactPrefix) {
       {"mid length prefix", 40 * kRecordBytes + 2, 40},
       {"first record torn", 5, 0},
       {"nothing written", 0, 0},
+      {"entry boundary inside a batch", 52 * kRecordBytes, 52},
+      {"mid payload inside a batch", 52 * kRecordBytes + 4 + 6, 52},
+      {"mid length prefix inside a batch", 61 * kRecordBytes + 1, 61},
+      {"batch boundary", 58 * kRecordBytes, 58},
   };
   for (const Cut& cut : cuts) {
     std::string dir = TempDir("wal_crash");
@@ -145,9 +176,17 @@ TEST(WalTest, ReplayAfterCrashTruncationRecoversExactPrefix) {
     {
       Wal wal(path);
       ASSERT_TRUE(wal.Open().ok());
-      for (int i = 0; i < kEntries; ++i) {
+      for (int i = 0; i < kFirstBatched; ++i) {
         ASSERT_TRUE(wal.Append(payload(i)).ok());
       }
+      for (int i = kFirstBatched; i < kEntries; i += kBatch) {
+        WalBatch batch;
+        for (int j = i; j < std::min(i + kBatch, kEntries); ++j) {
+          batch.Add(payload(j));
+        }
+        ASSERT_TRUE(wal.Append(batch).ok());
+      }
+      ASSERT_EQ(wal.entry_count(), kEntries);
       ASSERT_TRUE(wal.Sync().ok());
     }  // closed cleanly; the "crash" is the truncation below
     ASSERT_EQ(std::filesystem::file_size(path), kEntries * kRecordBytes);
@@ -379,6 +418,84 @@ TEST(DatasetPartitionTest, WalRecordsEveryInsert) {
                   })
                   .ok());
   EXPECT_EQ(entries.size(), 5u);
+}
+
+std::vector<Value> TweetFrame(int n, int start = 0) {
+  std::vector<Value> frame;
+  for (int i = start; i < start + n; ++i) {
+    frame.push_back(Value::Record(
+        {{"id", Value::String("t" + std::to_string(i))},
+         {"location", Value::MakePoint(i, i)}}));
+  }
+  return frame;
+}
+
+TEST(DatasetPartitionTest, KeylessRecordFailsWholeFrameBeforeAnyWrite) {
+  std::string dir = TempDir("partition_frame_reject");
+  DatasetPartition partition(TweetsDef(), 0, dir, nullptr);
+  ASSERT_TRUE(partition.Open().ok());
+  std::vector<Value> frame = TweetFrame(6);
+  frame.insert(frame.begin() + 3,
+               Value::Record({{"location", Value::MakePoint(1, 1)}}));
+  EXPECT_TRUE(partition.InsertFrame(frame).IsInvalidArgument());
+  EXPECT_EQ(partition.wal().entry_count(), 0);
+  EXPECT_EQ(partition.wal().bytes_written(), 0);
+  EXPECT_EQ(partition.record_count(), 0);
+  EXPECT_EQ(partition.inserts(), 0);
+  EXPECT_EQ(partition.FindIndex("locationIndex")->entry_count(), 0);
+  // The same frame without the offender goes through whole.
+  frame.erase(frame.begin() + 3);
+  ASSERT_TRUE(partition.InsertFrame(frame).ok());
+  EXPECT_EQ(partition.record_count(), 6);
+  EXPECT_EQ(partition.inserts(), 6);
+  EXPECT_EQ(partition.FindIndex("locationIndex")->entry_count(), 6);
+}
+
+TEST(DatasetPartitionTest, FrameLogsOneEntryPerRecordInFrameOrder) {
+  std::string dir = TempDir("partition_frame_wal");
+  DatasetPartition partition(TweetsDef(), 0, dir, nullptr);
+  ASSERT_TRUE(partition.Open().ok());
+  const std::vector<Value> first = TweetFrame(10);
+  const std::vector<Value> second = TweetFrame(5, 10);
+  ASSERT_TRUE(partition.InsertFrame(first).ok());
+  ASSERT_TRUE(partition.Insert(Value::Record({{"id", Value::String("x")}}))
+                  .ok());
+  ASSERT_TRUE(partition.InsertFrame(second).ok());
+  ASSERT_TRUE(partition.InsertFrame({}).ok());  // empty frame: no entry
+  EXPECT_EQ(partition.wal().entry_count(), 16);
+  std::vector<std::string> expected;
+  for (const Value& r : first) expected.push_back(r.ToAdmString());
+  expected.push_back("{\"id\": \"x\"}");
+  for (const Value& r : second) expected.push_back(r.ToAdmString());
+  std::vector<std::string> entries;
+  ASSERT_TRUE(partition.wal()
+                  .Replay([&](const std::string& e) {
+                    entries.push_back(e);
+                  })
+                  .ok());
+  EXPECT_EQ(entries, expected);
+  EXPECT_EQ(partition.record_count(), 16);
+  auto got = partition.Get(Value::String("t12"));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, second[2]);
+}
+
+TEST(DatasetPartitionTest, DurableFrameFlushesTheWalOnce) {
+  std::string dir = TempDir("partition_frame_sync");
+  DatasetDef def = TweetsDef();
+  def.durable_writes = true;
+  DatasetPartition partition(def, 0, dir, nullptr);
+  ASSERT_TRUE(partition.Open().ok());
+  common::Counter* syncs =
+      common::MetricsRegistry::Default().GetCounter("wal_syncs_total");
+  const int64_t before = syncs->Value();
+  for (int f = 0; f < 4; ++f) {
+    ASSERT_TRUE(partition.InsertFrame(TweetFrame(32, 32 * f)).ok());
+  }
+  EXPECT_EQ(syncs->Value() - before, 4);  // one group commit per frame
+  ASSERT_TRUE(partition.Insert(TweetFrame(1, 500)[0]).ok());
+  EXPECT_EQ(syncs->Value() - before, 5);
+  EXPECT_EQ(partition.wal().entry_count(), 4 * 32 + 1);
 }
 
 TEST(StorageManagerTest, PartitionLifecycle) {

@@ -68,8 +68,8 @@ BLOCKING_ALLOWLIST = {
     # by the same mutex that orders the records.
     "Wal::Open":
         "WAL contract: file open under kWal, the mutex that orders the log",
-    "Wal::Append":
-        "WAL contract: ordered durable append under kWal",
+    "Wal::Commit":
+        "WAL contract: ordered durable (group-commit) append under kWal",
     "Wal::Sync":
         "WAL contract: explicit durability barrier under kWal",
     "Wal::Replay":
