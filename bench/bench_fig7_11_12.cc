@@ -116,7 +116,11 @@ NativeOutput RunAsterix() {
   gen::TweetGenServer source(0, Workload());
   feeds::ExternalSourceRegistry::Instance().RegisterChannel(
       "cmp:1", &source.channel());
-  CHECK_OK(db.CreateDataset(TweetsDataset("Tweets")));
+  // The row is labelled WAL-durable: each stored frame's WAL group
+  // commit is flushed before its records count as stored.
+  storage::DatasetDef def = TweetsDataset("Tweets");
+  def.durable_writes = true;
+  CHECK_OK(db.CreateDataset(def));
   CHECK_OK(db.InstallUdf(feeds::AqlUdf::ExtractHashtags("tags")));
   feeds::FeedDef feed;
   feed.name = "F";

@@ -21,8 +21,12 @@
 #   clang-tidy  curated .clang-tidy baseline over src/ (SKIP when
 #               clang-tidy is not installed)
 #   lint        tools/lint/check_invariants.py
+#   bench-smoke opt-in, not in the default list: bench_e2e/smoke_test.py,
+#               every benchmark workload at 2% size with its correctness
+#               check (builds the benchmark into .bench_build; about a
+#               minute once built)
 #
-# Usage: scripts/ci.sh [stage ...]     (default: all stages)
+# Usage: scripts/ci.sh [stage ...]     (default: all stages but bench-smoke)
 #   JOBS=N scripts/ci.sh               parallelism (default: nproc)
 
 set -u
@@ -123,6 +127,9 @@ for stage in "${STAGES[@]}"; do
       ;;
     lint)
       run_stage lint python3 tools/lint/check_invariants.py
+      ;;
+    bench-smoke)
+      run_stage bench-smoke python3 bench_e2e/smoke_test.py
       ;;
     *)
       echo "unknown stage: $stage" >&2

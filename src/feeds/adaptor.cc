@@ -124,7 +124,8 @@ Result<hyracks::PartitionConstraint> SocketAdaptorFactory::GetConstraints(
 }
 
 Result<std::unique_ptr<FeedAdaptor>> SocketAdaptorFactory::Create(
-    const AdaptorConfig& config, int partition) const {
+    const AdaptorConfig& config, int partition, int partition_count) const {
+  (void)partition_count;  // one instance per socket (GetConstraints)
   auto it = config.find("sockets");
   if (it == config.end()) {
     return Status::InvalidArgument(alias_ +
@@ -143,32 +144,62 @@ Result<std::unique_ptr<FeedAdaptor>> SocketAdaptorFactory::Create(
 
 namespace {
 
+// Reads the lines whose first byte lies in [begin, end) of the file: the
+// input split of one collect instance. A line belongs to the split its
+// first byte falls in, so every line is read by exactly one split, however
+// the boundaries cut it.
 class FileAdaptor : public FeedAdaptor {
  public:
-  explicit FileAdaptor(std::string path) : path_(std::move(path)) {}
+  FileAdaptor(std::string path, int split, int split_count)
+      : path_(std::move(path)), split_(split), split_count_(split_count) {}
 
   Result<RawBatch> Fetch(size_t max, int64_t timeout_ms) override {
     (void)timeout_ms;
-    if (!opened_) {
-      stream_.open(path_);
-      if (!stream_.is_open()) {
-        return Status::IOError("cannot open feed file " + path_);
-      }
-      opened_ = true;
-    }
+    if (!opened_) RETURN_IF_ERROR(Open());
     RawBatch batch;
     std::string line;
-    while (batch.payloads.size() < max && std::getline(stream_, line)) {
+    while (batch.payloads.size() < max && offset_ < end_ &&
+           std::getline(stream_, line)) {
+      // +1 for the newline; past the last line it overshoots the file
+      // size, which only ends the split.
+      offset_ += static_cast<int64_t>(line.size()) + 1;
       if (!line.empty()) batch.payloads.push_back(std::move(line));
     }
-    if (batch.payloads.empty()) batch.end_of_source = true;
+    batch.end_of_source = offset_ >= end_ || !stream_;
     return batch;
   }
 
  private:
+  Status Open() {
+    stream_.open(path_, std::ios::binary);
+    if (!stream_.is_open()) {
+      return Status::IOError("cannot open feed file " + path_);
+    }
+    opened_ = true;
+    stream_.seekg(0, std::ios::end);
+    const int64_t size = static_cast<int64_t>(stream_.tellg());
+    offset_ = size * split_ / split_count_;
+    end_ = size * (split_ + 1) / split_count_;
+    if (offset_ == 0 || offset_ >= end_) {
+      stream_.seekg(0);
+      return Status::OK();
+    }
+    // The line holding byte offset_-1 started in an earlier split (or
+    // ends right there): skip through its newline.
+    stream_.seekg(offset_ - 1);
+    std::string partial;
+    std::getline(stream_, partial);
+    offset_ += static_cast<int64_t>(partial.size());
+    return Status::OK();
+  }
+
   const std::string path_;
+  const int split_;
+  const int split_count_;
   std::ifstream stream_;
   bool opened_ = false;
+  int64_t offset_ = 0;  // file offset of the next line
+  int64_t end_ = 0;     // lines starting at or past this are another split's
 };
 
 }  // namespace
@@ -178,19 +209,25 @@ Result<hyracks::PartitionConstraint> FileAdaptorFactory::GetConstraints(
   if (config.find("path") == config.end()) {
     return Status::InvalidArgument("file_based_feed requires 'path'");
   }
+  // Input splits: as many as there are nodes to parse them.
   hyracks::PartitionConstraint constraint;
-  constraint.count = 1;
+  constraint.count = hyracks::PartitionConstraint::kPerAliveNode;
   return constraint;
 }
 
 Result<std::unique_ptr<FeedAdaptor>> FileAdaptorFactory::Create(
-    const AdaptorConfig& config, int partition) const {
-  (void)partition;
+    const AdaptorConfig& config, int partition, int partition_count) const {
   auto it = config.find("path");
   if (it == config.end()) {
     return Status::InvalidArgument("file_based_feed requires 'path'");
   }
-  return std::unique_ptr<FeedAdaptor>(new FileAdaptor(it->second));
+  if (partition < 0 || partition >= partition_count) {
+    return Status::InvalidArgument(
+        "file split " + std::to_string(partition) + " of " +
+        std::to_string(partition_count));
+  }
+  return std::unique_ptr<FeedAdaptor>(
+      new FileAdaptor(it->second, partition, partition_count));
 }
 
 // --- Synthetic tweet adaptor ------------------------------------------------
@@ -209,7 +246,8 @@ class SyntheticTweetAdaptor : public FeedAdaptor {
       batch.end_of_source = true;
       return batch;
     }
-    // Pull-based pacing: emit rate*elapsed records since the last call.
+    // A live stream: emit the rate*elapsed records due since the last
+    // call.
     if (last_fetch_us_ == 0) last_fetch_us_ = common::NowMicros();
     int64_t now = common::NowMicros();
     double due = static_cast<double>(now - last_fetch_us_) * rate_tps_ /
@@ -258,7 +296,8 @@ SyntheticTweetAdaptorFactory::GetConstraints(
 }
 
 Result<std::unique_ptr<FeedAdaptor>> SyntheticTweetAdaptorFactory::Create(
-    const AdaptorConfig& config, int partition) const {
+    const AdaptorConfig& config, int partition, int partition_count) const {
+  (void)partition_count;
   return std::unique_ptr<FeedAdaptor>(new SyntheticTweetAdaptor(
       static_cast<int>(ConfigInt(config, "source_id", 0)) + partition,
       ConfigInt(config, "rate", 100), ConfigInt(config, "limit", -1)));

@@ -57,8 +57,11 @@ class AdaptorFactory {
   virtual std::string output_type() const = 0;
   [[nodiscard]] virtual common::Result<hyracks::PartitionConstraint> GetConstraints(
       const AdaptorConfig& config) const = 0;
+  /// Instance `partition` of `partition_count` (the FeedCollect
+  /// operator's degree of parallelism, as placed from GetConstraints).
   [[nodiscard]] virtual common::Result<std::unique_ptr<FeedAdaptor>> Create(
-      const AdaptorConfig& config, int partition) const = 0;
+      const AdaptorConfig& config, int partition,
+      int partition_count) const = 0;
 };
 
 /// The DatasourceAdapter metadata dataset: alias -> factory.
@@ -107,7 +110,8 @@ class SocketAdaptorFactory : public AdaptorFactory {
   [[nodiscard]] common::Result<hyracks::PartitionConstraint> GetConstraints(
       const AdaptorConfig& config) const override;
   [[nodiscard]] common::Result<std::unique_ptr<FeedAdaptor>> Create(
-      const AdaptorConfig& config, int partition) const override;
+      const AdaptorConfig& config, int partition,
+      int partition_count) const override;
 
  private:
   std::string alias_;
@@ -117,6 +121,9 @@ class SocketAdaptorFactory : public AdaptorFactory {
 /// Pull adaptor over a file of newline-separated ADM records — the
 /// file_based_feed used by the batch-insert comparison (§5.7.1). Config:
 ///   "path" = file path, "type_name" = record type.
+/// One instance runs per alive node, each reading one byte-range split:
+/// instance p of n reads the lines whose first byte lies in
+/// [p*size/n, (p+1)*size/n).
 class FileAdaptorFactory : public AdaptorFactory {
  public:
   std::string alias() const override { return "file_based_feed"; }
@@ -125,22 +132,27 @@ class FileAdaptorFactory : public AdaptorFactory {
   [[nodiscard]] common::Result<hyracks::PartitionConstraint> GetConstraints(
       const AdaptorConfig& config) const override;
   [[nodiscard]] common::Result<std::unique_ptr<FeedAdaptor>> Create(
-      const AdaptorConfig& config, int partition) const override;
+      const AdaptorConfig& config, int partition,
+      int partition_count) const override;
 };
 
-/// Pull adaptor that synthesizes tweets internally at a configured rate —
-/// a TwitterAdaptor stand-in that needs no external process. Config:
+/// Adaptor that synthesizes tweets internally at a configured rate — a
+/// TwitterAdaptor stand-in that needs no external process. It reports
+/// push-based: like a live stream, each Fetch emits whatever came due
+/// since the last one, so its pace is the source's, not the reader's.
+/// Config:
 ///   "rate" = tweets/sec (default 100), "limit" = total records
 ///   (default unlimited), "source_id" = id namespace (default 0).
 class SyntheticTweetAdaptorFactory : public AdaptorFactory {
  public:
   std::string alias() const override { return "synthetic_tweets"; }
-  bool push_based() const override { return false; }
+  bool push_based() const override { return true; }
   std::string output_type() const override { return "Tweet"; }
   [[nodiscard]] common::Result<hyracks::PartitionConstraint> GetConstraints(
       const AdaptorConfig& config) const override;
   [[nodiscard]] common::Result<std::unique_ptr<FeedAdaptor>> Create(
-      const AdaptorConfig& config, int partition) const override;
+      const AdaptorConfig& config, int partition,
+      int partition_count) const override;
 };
 
 /// Registers all built-in adaptors (pre-populating the DatasourceAdapter

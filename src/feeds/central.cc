@@ -209,7 +209,7 @@ Status CentralFeedManager::BuildHeadLocked(
     } else {
       std::vector<std::string> alive = cluster_->AliveNodeIds();
       if (alive.empty()) return Status::Unavailable("no alive nodes");
-      for (int i = 0; i < constraint.count; ++i) {
+      for (int i = 0; i < constraint.InstanceCount(alive.size()); ++i) {
         collect_locations.push_back(alive[i % alive.size()]);
       }
     }

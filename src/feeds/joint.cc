@@ -74,6 +74,14 @@ size_t FeedJoint::subscriber_count() const {
   return routes_.load()->subscribers.size();
 }
 
+bool FeedJoint::ReadAheadFull() const {
+  std::shared_ptr<const Routes> routes = routes_.load();
+  return std::any_of(routes->subscribers.begin(), routes->subscribers.end(),
+                     [](const std::shared_ptr<SubscriberQueue>& queue) {
+                       return queue->ReadAheadFull();
+                     });
+}
+
 Status FeedJoint::NextFrame(const FramePtr& frame) {
   // Delay actions model a congested joint; error actions fail the
   // routing task (a hard pipeline fault).

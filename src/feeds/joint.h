@@ -53,6 +53,11 @@ class FeedJoint : public hyracks::IFrameWriter {
 
   size_t subscriber_count() const;
 
+  /// True while some subscriber queue is past its read-ahead allowance
+  /// (SubscriberQueue::ReadAheadFull): a pull source paces itself by
+  /// this. One snapshot load and relaxed reads; no lock.
+  bool ReadAheadFull() const;
+
   /// Producer-side IFrameWriter API (the subscribable operator's output).
   [[nodiscard]] common::Status NextFrame(const hyracks::FramePtr& frame) override;
   void Fail() override;

@@ -17,6 +17,12 @@ using hyracks::TaskContext;
 
 namespace {
 
+// How often a paced pull source re-checks its subscribers' backlog. A
+// read-ahead of 1/8 of the default 32 MiB budget takes tens of ms to
+// drain, so a waiting collect wakes often enough; polling faster only
+// adds wake-ups on a host the pipeline already keeps busy.
+constexpr int64_t kReadAheadPollMicros = 1000;
+
 // Claims `count` tracking-id sequence numbers, unique in the process: a
 // successor intake keeps its predecessor's unacked ids, and an ack for an
 // old id must never match a fresh one.
@@ -73,6 +79,11 @@ Status FeedCollectOperator::Run(TaskContext* ctx) {
   const int64_t max_soft =
       pipeline_.policy.max_consecutive_soft_failures();
   const bool recover_soft = pipeline_.policy.recover_soft_failure();
+  // A pull source reads no further ahead of its subscribers than their
+  // read-ahead allowance, one frame at a time; a push source's pace is
+  // the source's, so its excess is left to the ingestion policy.
+  const bool paced = !factory_->push_based() && own_joint_ != nullptr;
+  const size_t fetch_max = paced ? pipeline_.frame_records : 256;
 
   while (!ctx->ShouldStop()) {
     // Deferred adaptor creation (§5.3.1): no data is fetched from the
@@ -82,12 +93,17 @@ Status FeedCollectOperator::Run(TaskContext* ctx) {
         common::SleepMillis(2);
         continue;
       }
-      auto adaptor = factory_->Create(config_, ctx->partition());
+      auto adaptor = factory_->Create(config_, ctx->partition(),
+                                      ctx->partition_count());
       if (!adaptor.ok()) return adaptor.status();
       adaptor_ = std::move(adaptor).value();
     }
+    if (paced && own_joint_->ReadAheadFull()) {
+      common::SleepMicros(kReadAheadPollMicros);
+      continue;
+    }
 
-    auto batch = adaptor_->Fetch(/*max=*/256, /*timeout_ms=*/20);
+    auto batch = adaptor_->Fetch(fetch_max, /*timeout_ms=*/20);
     if (!batch.ok()) {
       // External source failure: recovery is the adaptor's job (§6.2.3).
       Status reconnect = adaptor_->Reconnect();
@@ -272,6 +288,15 @@ Status FeedIntakeOperator::ForwardTagged(const FramePtr& frame,
 }
 
 Status FeedIntakeOperator::Run(TaskContext* ctx) {
+  Status status = Pump(ctx);
+  // Unless handed to a successor, the input queue ends with this
+  // instance: left subscribed, nothing would drain it, and a paced pull
+  // source would wait on its backlog forever.
+  if (queue_ != nullptr) source_joint_->Unsubscribe(queue_);
+  return status;
+}
+
+Status FeedIntakeOperator::Pump(TaskContext* ctx) {
   // Tracking ids embed the partition for ack routing.
   const int partition = ctx->partition();
 
@@ -311,8 +336,9 @@ Status FeedIntakeOperator::Run(TaskContext* ctx) {
       std::string state_key = pipeline_.connection_id + ":intake:" +
                               std::to_string(partition);
       feed_manager_->SaveZombieState(state_key, std::move(state));
+      // Moving queue_ out leaves it null: Run must not unsubscribe it.
       feed_manager_->SaveIntakeHandoff(state_key,
-                                       {source_joint_, queue_});
+                                       {source_joint_, std::move(queue_)});
       return Status::OK();
     }
 
@@ -413,6 +439,17 @@ AssignOperator::AssignOperator(std::vector<std::shared_ptr<Udf>> udfs,
 Status AssignOperator::Open(TaskContext* ctx) {
   (void)ctx;
   for (auto& udf : udfs_) udf->Initialize();
+  if (pipeline_.policy.at_least_once()) {
+    acks_ = std::make_unique<AckCollector>(
+        pipeline_.ack_bus, pipeline_.connection_id,
+        pipeline_.policy.ack_window_ms());
+  }
+  return Status::OK();
+}
+
+Status AssignOperator::Close(TaskContext* ctx) {
+  (void)ctx;
+  if (acks_ != nullptr) acks_->Flush();
   return Status::OK();
 }
 
@@ -426,6 +463,7 @@ Status AssignOperator::ProcessFrame(const FramePtr& frame,
   int64_t udf_us = 0;
   const int64_t udf_start_us = tc.sampled() ? common::NowMicros() : 0;
   const std::vector<Value>& records = frame->records();
+  filtered_tids_.clear();
   for (size_t i = 0; i < records.size(); ++i) {
     Value current = records[i];
     bool filtered = false;
@@ -439,7 +477,12 @@ Status AssignOperator::ProcessFrame(const FramePtr& frame,
       current = std::move(*result);
     }
     if (tc.sampled()) udf_us += common::NowMicros() - apply_start_us;
-    if (filtered) continue;
+    if (filtered) {
+      // No later stage sees a filtered record, so its journey ends here:
+      // ack it, or the intake would replay it on every timeout.
+      if (frame->tracked()) filtered_tids_.push_back(frame->tracking_id(i));
+      continue;
+    }
     pipeline_.metrics->records_computed.fetch_add(1);
     // The output record keeps its input's tracking id.
     RETURN_IF_ERROR(frame->tracked() ? appender.Append(std::move(current),
@@ -459,6 +502,9 @@ Status AssignOperator::ProcessFrame(const FramePtr& frame,
     span.records = static_cast<int64_t>(frame->record_count());
     span.detail = true;
     Tracer::Instance().RecordSpan(std::move(span));
+  }
+  if (acks_ != nullptr && !filtered_tids_.empty()) {
+    acks_->OnPersisted(filtered_tids_);
   }
   return appender.FlushFrame();
 }

@@ -96,6 +96,10 @@ class FeedIntakeOperator : public hyracks::Operator {
  private:
   enum class Mode { kForward, kBuffer, kHandoff };
 
+  /// Run's loop: forwards, buffers or hands off until the queue ends or
+  /// the task stops.
+  [[nodiscard]] common::Status Pump(hyracks::TaskContext* ctx);
+
   /// A frame from the subscriber queue, as this intake forwards it: under
   /// at-least-once with a fresh tracking-id column minted for intake
   /// partition `partition`; otherwise without any column (ids minted by
@@ -133,10 +137,14 @@ class AssignOperator : public hyracks::Operator {
   [[nodiscard]] common::Status Open(hyracks::TaskContext* ctx) override;
   [[nodiscard]] common::Status ProcessFrame(const hyracks::FramePtr& frame,
                               hyracks::TaskContext* ctx) override;
+  [[nodiscard]] common::Status Close(hyracks::TaskContext* ctx) override;
 
  private:
   std::vector<std::shared_ptr<Udf>> udfs_;
   PipelineConfig pipeline_;
+  // At-least-once: acks for the records the UDF chain filtered out.
+  std::unique_ptr<AckCollector> acks_;
+  std::vector<int64_t> filtered_tids_;  // one frame's, capacity reused
 };
 
 /// --- tail section: store -------------------------------------------------

@@ -124,6 +124,11 @@ class IngestionPolicy {
 inline constexpr int kElasticScaleOutStreak = 3;
 inline constexpr int kElasticScaleInStreak = 20;
 inline constexpr int kCongestionBudgetDivisor = 4;
+// A pull source (a file) reads ahead of each subscriber queue by at most
+// B / kReadAheadBudgetDivisor pending bytes before it waits
+// (SubscriberQueue::ReadAheadFull). Its excess exists only because it
+// was read too fast, so a larger read-ahead buys nothing but memory.
+inline constexpr int kReadAheadBudgetDivisor = 8;
 inline constexpr int kIdleDivisor = 8;
 inline constexpr double kThrottleMinKeep = 0.05;
 

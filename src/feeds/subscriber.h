@@ -122,6 +122,16 @@ class SubscriberQueue {
   size_t pending_frames() const;
   const std::string& name() const { return options_.name; }
 
+  /// True while the queue holds more than its read-ahead allowance: a
+  /// pull source feeding it waits before fetching more. Elastic queues
+  /// never ask, since their budget is rescaling headroom and their
+  /// backlog must stay visible to the scale-out rule. Lock-free.
+  bool ReadAheadFull() const {
+    return options_.mode != ExcessMode::kElastic &&
+           pending_bytes() >
+               options_.memory_budget_bytes / kReadAheadBudgetDivisor;
+  }
+
  private:
   struct Entry {
     hyracks::FramePtr frame;

@@ -164,7 +164,7 @@ Result<std::shared_ptr<JobHandle>> ClusterController::StartJob(
         locations.push_back(loc);
       }
     } else {
-      for (int i = 0; i < op.constraint.count; ++i) {
+      for (int i = 0; i < op.constraint.InstanceCount(alive.size()); ++i) {
         locations.push_back(alive[rr++ % alive.size()]);
       }
     }

@@ -23,11 +23,16 @@ struct PartitionConstraint {
   /// Exact node placements. When set, instance i runs on locations[i].
   std::vector<std::string> locations;
   /// When locations is empty: number of instances, scheduled round-robin
-  /// over alive nodes.
+  /// over alive nodes, or kPerAliveNode.
   int count = 1;
 
-  int InstanceCount() const {
-    return locations.empty() ? count : static_cast<int>(locations.size());
+  /// `count` asking for one instance on each node alive at scheduling.
+  static constexpr int kPerAliveNode = -1;
+
+  /// Instances to place when `alive_nodes` nodes are alive.
+  int InstanceCount(size_t alive_nodes) const {
+    if (!locations.empty()) return static_cast<int>(locations.size());
+    return count == kPerAliveNode ? static_cast<int>(alive_nodes) : count;
   }
 };
 

@@ -1,5 +1,7 @@
 #include "hyracks/task.h"
 
+#include <pthread.h>
+
 #include <map>
 
 #include "common/failpoint.h"
@@ -36,7 +38,14 @@ bool Task::ShouldStop() const {
 
 void Task::Start() {
   if (started_.exchange(true)) return;
-  thread_ = std::thread([this] { ThreadMain(); });
+  // "<op><partition>" ("collect0", "store2"): per-thread tools (top -H,
+  // /proc/<pid>/task/*/comm) then show which stage is busy. The kernel
+  // keeps 15 bytes.
+  std::string name = (op_name_ + std::to_string(partition_)).substr(0, 15);
+  thread_ = std::thread([this, name] {
+    pthread_setname_np(pthread_self(), name.c_str());
+    ThreadMain();
+  });
 }
 
 void Task::Kill() {

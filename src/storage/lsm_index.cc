@@ -339,6 +339,11 @@ void LsmIndex::MaintenanceMain() {
       runs_.insert(runs_.begin(), std::move(merged));
       ++stats_.merges;
       drained_cv_.NotifyAll();
+      // Free the merged-away runs off-lock: destroying a run's entries
+      // takes milliseconds, and every Get and insert waits on mutex_.
+      mutex_.Unlock();
+      to_merge.clear();
+      mutex_.Lock();
       continue;
     }
     if (!immutables_.empty()) {
@@ -363,6 +368,10 @@ void LsmIndex::MaintenanceMain() {
       immutable_bytes_.pop_front();
       metric_flush_backlog_->Add(-1);
       drained_cv_.NotifyAll();
+      // Free the flushed memtable off-lock, as the merged runs above.
+      mutex_.Unlock();
+      imm.reset();
+      mutex_.Lock();
       continue;
     }
     if (stop_) break;

@@ -64,7 +64,7 @@ TEST_F(AqlTest, FeedDdlEndToEnd) {
   // Listings 4.1 + 4.4 + 4.7, driven purely through statements.
   auto status = aql::Execute(db_.get(), R"(
     create dataset Tweets(Tweet) primary key id;
-    -- a pull-based synthetic source standing in for TwitterAdaptor
+    -- a synthetic live stream standing in for TwitterAdaptor
     create feed TwitterFeed using synthetic_tweets
         (("rate"="5000"), ("limit"="400"));
     connect feed TwitterFeed to dataset Tweets using policy Basic;

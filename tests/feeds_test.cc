@@ -2,8 +2,10 @@
 // lifetime of the frames they share, the policy-enforcing subscriber
 // queues, ack machinery, adaptors and the feed catalog.
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -321,6 +323,29 @@ SubscriberOptions SmallQueue(ExcessMode mode, int64_t budget = 4096) {
   options.spill_dir = "/tmp";
   options.name = std::string("test_") + ExcessModeName(mode);
   return options;
+}
+
+// A pull source waits once any subscriber holds more than budget /
+// kReadAheadBudgetDivisor pending bytes, and resumes once it drains. An
+// Elastic subscriber never holds it back: its backlog is the scale-out
+// signal.
+TEST(JointTest, ReadAheadFullTracksNonElasticBacklog) {
+  const int64_t budget = 64 * FrameOf(1)->ApproxBytes();
+  FeedJoint joint("J");
+  auto elastic = joint.Subscribe(SmallQueue(ExcessMode::kElastic, budget));
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(joint.NextFrame(FrameOf(1)).ok());
+  EXPECT_GT(elastic->pending_bytes(), budget / kReadAheadBudgetDivisor);
+  EXPECT_FALSE(joint.ReadAheadFull());
+
+  auto basic = joint.Subscribe(SmallQueue(ExcessMode::kBlock, budget));
+  while (!joint.ReadAheadFull()) {
+    ASSERT_TRUE(joint.NextFrame(FrameOf(1)).ok());
+  }
+  EXPECT_GT(basic->pending_bytes(), budget / kReadAheadBudgetDivisor);
+  EXPECT_LT(basic->pending_bytes(), budget);
+  EXPECT_FALSE(basic->failed());
+  basic->NextBatch(0);
+  EXPECT_FALSE(joint.ReadAheadFull());
 }
 
 // Delivers the only reference to a fresh frame; true iff the queue did
@@ -743,7 +768,7 @@ TEST(AdaptorTest, SocketAdaptorDrainsChannel) {
   gen::Channel channel;
   ExternalSourceRegistry::Instance().RegisterChannel("t:1", &channel);
   SocketAdaptorFactory factory;
-  auto adaptor = factory.Create({{"sockets", "t:1"}}, 0);
+  auto adaptor = factory.Create({{"sockets", "t:1"}}, 0, 1);
   ASSERT_TRUE(adaptor.ok());
   channel.Send("one");
   channel.Send("two");
@@ -759,10 +784,80 @@ TEST(AdaptorTest, SocketAdaptorDrainsChannel) {
   ExternalSourceRegistry::Instance().UnregisterChannel("t:1");
 }
 
+// Reads every split of `path` cut `n` ways, in split order.
+std::vector<std::string> ReadSplits(const std::string& path, int n) {
+  FileAdaptorFactory factory;
+  std::vector<std::string> lines;
+  for (int p = 0; p < n; ++p) {
+    auto adaptor = factory.Create({{"path", path}}, p, n);
+    EXPECT_TRUE(adaptor.ok());
+    if (!adaptor.ok()) continue;
+    bool ended = false;
+    for (int fetches = 0; fetches < 1000 && !ended; ++fetches) {
+      auto batch = (*adaptor)->Fetch(/*max=*/2, /*timeout_ms=*/0);
+      EXPECT_TRUE(batch.ok());
+      if (!batch.ok()) break;
+      for (std::string& line : batch->payloads) lines.push_back(line);
+      ended = batch->end_of_source;
+    }
+    EXPECT_TRUE(ended) << "split " << p << " of " << n << " never ended";
+  }
+  return lines;
+}
+
+// Every non-empty line of the file is read by exactly one split, however
+// the byte-range boundaries cut the lines.
+TEST(AdaptorTest, FileSplitsReadEveryLineOnce) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "asterix_file_split_test";
+  fs::create_directories(dir);
+  const std::string long_line(40, 'x');  // longer than most splits below
+  const std::vector<std::string> contents = {
+      // Empty lines, a line longer than a split, no trailing newline.
+      "a\n\nbb\n" + long_line + "\n\n\nccc\ndd\ne\nffff",
+      "a\nb\nc\n" + long_line + "\n",
+      // 8 bytes: cut in two, the boundary is exactly a line start.
+      "aaa\nbbb\n",
+      // Smaller than n bytes.
+      "a\n",
+      "ab",
+      "",
+  };
+  for (size_t c = 0; c < contents.size(); ++c) {
+    const std::string path = (dir / ("split" + std::to_string(c))).string();
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << contents[c];
+    }
+    std::vector<std::string> expected;
+    std::stringstream stream(contents[c]);
+    for (std::string line; std::getline(stream, line);) {
+      if (!line.empty()) expected.push_back(line);
+    }
+    for (int n : {1, 2, 3, 5, 7}) {
+      // Splits read in file order, so the concatenation is the file.
+      EXPECT_EQ(ReadSplits(path, n), expected)
+          << "content " << c << " cut " << n << " ways";
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(AdaptorTest, FileAdaptorRunsOnePerAliveNode) {
+  FileAdaptorFactory factory;
+  auto constraint = factory.GetConstraints({{"path", "/nonexistent"}});
+  ASSERT_TRUE(constraint.ok());
+  EXPECT_EQ(constraint->InstanceCount(5), 5);
+  EXPECT_FALSE(factory.push_based());
+  EXPECT_FALSE(factory.Create({{"path", "/nonexistent"}}, 3, 3).ok());
+  // A live stream's pace is its own: the collect never waits on it.
+  EXPECT_TRUE(SyntheticTweetAdaptorFactory().push_based());
+}
+
 TEST(AdaptorTest, SyntheticAdaptorHonorsLimit) {
   SyntheticTweetAdaptorFactory factory;
   auto adaptor =
-      factory.Create({{"rate", "100000"}, {"limit", "42"}}, 0);
+      factory.Create({{"rate", "100000"}, {"limit", "42"}}, 0, 1);
   ASSERT_TRUE(adaptor.ok());
   int64_t total = 0;
   for (int i = 0; i < 100; ++i) {

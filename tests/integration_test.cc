@@ -1,6 +1,8 @@
 // End-to-end tests of the AsterixInstance facade: feed lifecycle, cascade
 // networks, policies, soft/hard failures, at-least-once semantics.
 #include <filesystem>
+#include <optional>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -234,6 +236,84 @@ TEST_F(IntegrationTest, BatchInsertPathWorks) {
   auto got = db_->GetRecord("D", Value::String("b7"));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->GetField("n")->AsInt64(), 7);
+}
+
+// A file feed runs one collect per node, each parsing its own byte-range
+// split, and reads no further ahead of its intake queue than a fraction of
+// the queue's budget. Behind a compute stage far slower than the parse,
+// a 256 KB budget must then neither run out (Basic) nor spill (Spill).
+class PacedFileFeedTest : public IntegrationTest {
+ protected:
+  static constexpr int kRecords = 20000;
+
+  void TearDown() override {
+    if (!path_.empty()) std::filesystem::remove(path_);
+  }
+
+  /// Ingests the file under a copy of policy `base` with a 256 KB budget
+  /// and waits for the feed to finish. Returns its intake queues.
+  std::vector<std::shared_ptr<feeds::SubscriberQueue>> Ingest(
+      const std::string& base) {
+    path_ = (std::filesystem::temp_directory_path() /
+             ("asterix_paced_" + base + ".adm"))
+                .string();
+    ids_ = asterix::testing::WriteTweetFile(path_, kRecords);
+    EXPECT_TRUE(db_->CreateDataset(TweetsDataset("D")).ok());
+    EXPECT_TRUE(db_->InstallUdf(std::make_shared<feeds::JavaUdf>(
+                                    "lib", "slow",
+                                    [](const Value& tweet) {
+                                      common::SleepMicros(20);
+                                      return std::optional<Value>(tweet);
+                                    }))
+                    .ok());
+    const std::string policy = "Small" + base;
+    EXPECT_TRUE(db_->CreatePolicy(policy, base,
+                                  {{feeds::IngestionPolicy::kMemoryBudget,
+                                    std::to_string(256 << 10)}})
+                    .ok());
+    feeds::FeedDef feed;
+    feed.name = "FileFeed";
+    feed.adaptor_alias = "file_based_feed";
+    feed.adaptor_config = {{"path", path_}};
+    feed.udf = "lib#slow";
+    EXPECT_TRUE(db_->CreateFeed(feed).ok());
+    EXPECT_TRUE(db_->ConnectFeed("FileFeed", "D", policy).ok());
+    auto conn = db_->feed_manager().GetConnection("FileFeed", "D");
+    EXPECT_TRUE(conn.ok());
+    if (conn.ok()) EXPECT_EQ(conn->intake_locations.size(), 3u);
+    EXPECT_TRUE(WaitFor(
+        [&] {
+          return db_->feed_manager().Health("FileFeed", "D") !=
+                 feeds::CentralFeedManager::ConnectionHealth::kActive;
+        },
+        60000));
+    EXPECT_EQ(db_->feed_manager().Health("FileFeed", "D"),
+              feeds::CentralFeedManager::ConnectionHealth::kCompleted);
+    EXPECT_EQ(asterix::testing::StoredIds(*db_, "D"), ids_);
+    auto metrics = db_->FeedMetrics("FileFeed", "D");
+    EXPECT_NE(metrics, nullptr);
+    if (metrics == nullptr) return {};
+    for (const auto& queue : metrics->IntakeQueues()) {
+      EXPECT_TRUE(queue->failure().ok()) << queue->failure().ToString();
+      EXPECT_LE(queue->stats().peak_pending_bytes, 256 << 10);
+    }
+    return metrics->IntakeQueues();
+  }
+
+  std::string path_;
+  std::multiset<std::string> ids_;
+};
+
+TEST_F(PacedFileFeedTest, BasicBudgetIsNeverExhausted) {
+  EXPECT_EQ(Ingest("Basic").size(), 3u);
+}
+
+TEST_F(PacedFileFeedTest, SpillPolicyNeverSpills) {
+  auto queues = Ingest("Spill");
+  EXPECT_EQ(queues.size(), 3u);
+  for (const auto& queue : queues) {
+    EXPECT_EQ(queue->stats().frames_spilled, 0) << queue->name();
+  }
 }
 
 }  // namespace

@@ -15,8 +15,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <new>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +27,7 @@
 #include "adm/value.h"
 #include "asterix/asterix.h"
 #include "common/clock.h"
+#include "gen/tweetgen.h"
 #include "hyracks/frame.h"
 #include "storage/dataset.h"
 
@@ -170,6 +173,33 @@ inline storage::DatasetDef TweetsDataset(
   def.primary_key_field = "id";
   def.nodegroup = std::move(nodegroup);
   return def;
+}
+
+/// Writes `n` tweets of TweetGen source `source_id` to `path`, one ADM
+/// record per line (a file_based_feed input); returns their ids.
+inline std::multiset<std::string> WriteTweetFile(const std::string& path,
+                                                 int n, int source_id = 0) {
+  gen::TweetFactory factory(source_id);
+  std::ofstream out(path, std::ios::binary);
+  std::multiset<std::string> ids;
+  for (int i = 0; i < n; ++i) {
+    adm::Value tweet = factory.NextTweet();
+    ids.insert(tweet.GetField("id")->ToAdmString());
+    out << tweet.ToAdmString() << '\n';
+  }
+  return ids;
+}
+
+/// The "id" of every record stored in `dataset` (empty if it is unknown).
+inline std::multiset<std::string> StoredIds(const AsterixInstance& db,
+                                            const std::string& dataset) {
+  std::multiset<std::string> ids;
+  common::Status status =
+      db.ScanDataset(dataset, [&](const adm::Value& record) {
+        ids.insert(record.GetField("id")->ToAdmString());
+      });
+  if (!status.ok()) ids.clear();
+  return ids;
 }
 
 /// Instance options with short heartbeat timings so failure-detection
