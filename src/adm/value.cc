@@ -382,13 +382,6 @@ std::string Value::ToAdmString() const {
   return std::string(begin, WriteAdm(*this, begin));
 }
 
-void Value::AppendAdmString(std::string* out) const {
-  const size_t start = out->size();
-  out->resize(start + AdmBound(*this));
-  char* const begin = out->data();
-  out->resize(static_cast<size_t>(WriteAdm(*this, begin + start) - begin));
-}
-
 size_t Value::ApproxSizeBytes() const {
   switch (tag_) {
     case TypeTag::kNull:

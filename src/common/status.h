@@ -79,6 +79,7 @@ class [[nodiscard]] Status {
     return code_ == Code::kResourceExhausted;
   }
   bool IsIOError() const { return code_ == Code::kIOError; }
+  bool IsCorruption() const { return code_ == Code::kCorruption; }
   bool IsAborted() const { return code_ == Code::kAborted; }
   bool IsTimedOut() const { return code_ == Code::kTimedOut; }
   bool IsUnavailable() const { return code_ == Code::kUnavailable; }

@@ -352,13 +352,7 @@ Status CentralFeedManager::BuildTailLocked(ConnectionInfo* conn) {
              policy, store_state_key, metrics);
        },
        ""});
-  spec.Connect(prev, store,
-               {ConnectorKind::kMToNHash,
-                [pk_field](const adm::Value& record) {
-                  const adm::Value* key = record.GetField(pk_field);
-                  return key != nullptr ? key->ToAdmString()
-                                        : std::string();
-                }});
+  spec.Connect(prev, store, hyracks::PrimaryKeyHashConnector(pk_field));
 
   // Subscribe each intake partition's input buffer before the job starts:
   // an intake subscribing from its own thread in Open would miss every

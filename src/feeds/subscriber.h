@@ -184,7 +184,9 @@ class SubscriberQueue {
   common::Rng rng_ GUARDED_BY(mutex_);
 
   // Spill state: once active, all arrivals spill until fully drained
-  // (preserves record order).
+  // (preserves record order). The file holds one [u32 len][payload] entry
+  // per frame, the payload one [u32 len][binary record] per record
+  // (adm/binary.h); a record that does not decode fails the queue.
   std::FILE* spill_file_ GUARDED_BY(mutex_) = nullptr;
   std::string spill_path_;  // written once in the constructor
   /// Bytes this queue's spill file currently charges against spill_pool_

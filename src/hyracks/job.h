@@ -50,6 +50,15 @@ struct ConnectorDescriptor {
   std::function<std::string(const adm::Value&)> key_extractor;
 };
 
+/// The kMToNHash connector into a dataset's store operator: routes each
+/// record by its `pk_field` value, so target i (the nodegroup's i-th node)
+/// owns the keys PrimaryKeyPartition maps to i.
+ConnectorDescriptor PrimaryKeyHashConnector(std::string pk_field);
+
+/// The store target (of `targets`) PrimaryKeyHashConnector routes a record
+/// whose primary key is `primary_key` to.
+size_t PrimaryKeyPartition(const adm::Value& primary_key, size_t targets);
+
 struct OperatorDescriptor {
   std::string name;  // e.g. "feed_collect", "assign", "index_insert"
   PartitionConstraint constraint;

@@ -230,6 +230,26 @@ void Task::ThreadMain() {
   node_->OnTaskFinished(this);
 }
 
+namespace {
+// The target (of `targets`) a kMToNHash connector routes a record with
+// extracted key `key` to.
+size_t HashPartition(const std::string& key, size_t targets) {
+  return std::hash<std::string>{}(key) % targets;
+}
+}  // namespace
+
+ConnectorDescriptor PrimaryKeyHashConnector(std::string pk_field) {
+  return {ConnectorKind::kMToNHash,
+          [pk_field = std::move(pk_field)](const adm::Value& record) {
+            const adm::Value* key = record.GetField(pk_field);
+            return key != nullptr ? key->ToAdmString() : std::string();
+          }};
+}
+
+size_t PrimaryKeyPartition(const adm::Value& primary_key, size_t targets) {
+  return HashPartition(primary_key.ToAdmString(), targets);
+}
+
 Router::Router(ConnectorDescriptor connector, int source_partition,
                std::vector<std::shared_ptr<Task>> targets)
     : connector_(std::move(connector)),
@@ -261,8 +281,7 @@ Status Router::NextFrame(const FramePtr& frame) {
         std::string key = connector_.key_extractor
                               ? connector_.key_extractor(records[i])
                               : records[i].ToAdmString();
-        Bucket& bucket =
-            buckets[std::hash<std::string>{}(key) % targets_.size()];
+        Bucket& bucket = buckets[HashPartition(key, targets_.size())];
         bucket.records.push_back(records[i]);
         if (frame->tracked()) bucket.tids.push_back(frame->tracking_id(i));
       }

@@ -131,8 +131,8 @@ GROWTH_CALLS = {
 HOT_PRUNE = {
     "SubscriberQueue::SpillLocked":
         "cold excess branch: spill-to-disk only engages past the "
-        "subscriber's memory budget; serialization cost is the documented "
-        "backpressure trade-off",
+        "subscriber's memory budget; the binary encode of the spilled "
+        "frame is the documented backpressure trade-off",
     "SubscriberQueue::RestoreFromSpillLocked":
         "cold refill branch: only runs while a spill file exists",
     "SubscriberQueue::SampleFrame":
