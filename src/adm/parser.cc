@@ -166,7 +166,18 @@ class Parser {
     return top;
   }
 
+  // A record or list opens one more level of nesting. Deeper than
+  // kMaxNestingDepth is a parse error: the store could not encode it.
+  bool Enter() {
+    if (depth_ >= kMaxNestingDepth) {
+      return Fail("nesting deeper than " + std::to_string(kMaxNestingDepth));
+    }
+    ++depth_;
+    return true;
+  }
+
   bool ParseRecord(Value* out) {
+    if (!Enter()) return false;
     ++p_;  // '{'
     FieldVec& stack = scratch_->fields;
     const size_t base = stack.size();
@@ -187,10 +198,12 @@ class Parser {
       }
     }
     *out = Value::Record(PopAbove(&stack, base));
+    --depth_;
     return true;
   }
 
   bool ParseList(Value* out) {
+    if (!Enter()) return false;
     ++p_;  // '['
     ListVec& stack = scratch_->items;
     const size_t base = stack.size();
@@ -206,6 +219,7 @@ class Parser {
       }
     }
     *out = Value::List(PopAbove(&stack, base));
+    --depth_;
     return true;
   }
 
@@ -348,6 +362,7 @@ class Parser {
   const char* p_;
   const char* const end_;
   Scratch* const scratch_;
+  int depth_ = 0;  // records and lists open around the cursor
   Status error_;
 };
 

@@ -12,7 +12,8 @@ namespace asterix {
 namespace adm {
 
 /// Parses a single ADM value from `text`. The whole input must be consumed
-/// (trailing whitespace allowed). Malformed input yields a Corruption
+/// (trailing whitespace allowed). Malformed input, and records or lists
+/// nested deeper than kMaxNestingDepth, yield a Corruption
 /// status whose message pinpoints the offset — this is the error surfaced
 /// as a *soft failure* during ingestion.
 ///
