@@ -16,8 +16,6 @@
 #   tsan-chaos  ThreadSanitizer build, concurrency-heavy suites
 #   deadlock    runtime lock-order checker ON (ASTERIX_DEADLOCK_DETECTOR),
 #               the full ctest suite
-#   modelcheck  deterministic model checker (ASTERIX_MODEL_CHECK_TESTS):
-#               litmus/invariant suite + the seeded-bug regression
 #   clang-tidy  curated .clang-tidy baseline over src/ (SKIP when
 #               clang-tidy is not installed)
 #   lint        tools/lint/check_invariants.py
@@ -38,7 +36,7 @@ JOBS="${JOBS:-$(nproc)}"
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(default analyze analyze-ast asan-ubsan tsan-chaos deadlock modelcheck clang-tidy lint bench-smoke)
+  STAGES=(default analyze analyze-ast asan-ubsan tsan-chaos deadlock clang-tidy lint bench-smoke)
 fi
 
 declare -A RESULT
@@ -112,12 +110,6 @@ for stage in "${STAGES[@]}"; do
         cmake --preset deadlock >/dev/null &&
         cmake --build --preset deadlock -j $JOBS &&
         ctest --preset deadlock -j $JOBS"
-      ;;
-    modelcheck)
-      run_stage modelcheck bash -c "
-        cmake --preset modelcheck >/dev/null &&
-        cmake --build --preset modelcheck -j $JOBS &&
-        ctest --preset modelcheck"
       ;;
     clang-tidy)
       if command -v clang-tidy >/dev/null 2>&1; then

@@ -1,5 +1,7 @@
 #include "common/failpoint.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 
 #include "common/clock.h"
@@ -147,7 +149,10 @@ void ChaosSchedule::Start() {
                    [](const Step& a, const Step& b) {
                      return a.at_ms < b.at_ms;
                    });
-  driver_ = std::thread([this] { DriverMain(); });
+  driver_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "chaos_driver");
+    DriverMain();
+  });
 }
 
 void ChaosSchedule::Stop() {

@@ -44,17 +44,18 @@ enum class LockRank : uint16_t {
   // ---- common (0-99): leaves, safe to take while holding anything ----
   kBlockingQueue = 5,      // every BlockingQueue's mutex — the lowest
                            // rank: nothing is ever acquired under it
+  kMemGovernor = 8,        // MemGovernor pool map and each MemPool's
+                           // counters. A leaf taken under storage
+                           // (kWal, kLsmIndex), feeds (kSubscriberQueue)
+                           // and tracer (kTracer) locks whenever a hot
+                           // path reserves or releases; nothing is
+                           // acquired under it.
   kLogging = 10,           // logging.cc g_mutex (log-file swap)
   kMetricsRegistry = 20,   // MetricsRegistry metric maps (GetCounter/...)
   kFailPointRegistry = 30, // FailPointRegistry armed-site map
   kChaosSchedule = 40,     // ChaosSchedule driver wakeup
   kTracer = 50,            // feeds/trace.h span ring (observability leaf)
   kSimCpu = 60,            // gen/simcpu.h CPU credit gate
-  kMemGovernor = 70,       // MemGovernor pool map + per-pool waiter
-                           // parking (ReserveFor). A leaf below every
-                           // storage/feeds lock: Release's waiter-notify
-                           // path runs while callers hold kWal/kLsmIndex/
-                           // kSubscriberQueue, so those must rank higher.
 
   // ---- adm (100-119) ----
   kTypeRegistry = 110,     // adm datatype catalog

@@ -1,6 +1,6 @@
 #include "common/mem_governor.h"
 
-#include <chrono>
+#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -34,65 +34,54 @@ void MemLease::Release() {
 MemPool::MemPool(std::string name, int64_t capacity_bytes)
     : name_(std::move(name)), capacity_(capacity_bytes) {}
 
+int64_t MemPool::capacity() const {
+  MutexLock lock(mutex_);
+  return capacity_;
+}
+
 void MemPool::SetCapacity(int64_t capacity_bytes) {
-  // relaxed: the store needs no ordering of its own — a waiter either
-  // re-reads it inside TryChargeQuiet's CAS loop after the notify below,
-  // or the next TryReserve picks it up; nothing is published with it.
-  capacity_.store(capacity_bytes, std::memory_order_relaxed);
-  // A grow may unblock parked ReserveFor waiters.
-  if (waiters_.load(std::memory_order_seq_cst) > 0) {
-    MutexLock lock(mutex_);
-    released_.NotifyAll();
-  }
+  MutexLock lock(mutex_);
+  capacity_ = capacity_bytes;
 }
 
-void MemPool::NoteHighWater(int64_t used_now) {
-  // relaxed: monotonic max of a stats gauge; only monitoring reads it.
-  int64_t seen = high_water_.load(std::memory_order_relaxed);
-  while (used_now > seen &&
-         !high_water_.compare_exchange_weak(seen, used_now,
-                                            std::memory_order_relaxed)) {
-  }
+int64_t MemPool::used() const {
+  MutexLock lock(mutex_);
+  return used_;
 }
 
-bool MemPool::TryChargeQuiet(int64_t bytes) {
-  // CAS-grant (not fetch_add + rollback): `used_` never overshoots
-  // capacity, so `used() <= capacity()` is an always-true observable
-  // invariant (absent ForceReserve overdrafts) that the budget property
-  // tests assert concurrently.
-  // relaxed: a stale read only mispredicts the CAS `expected`; the
-  // seq_cst CAS below is the linearization point.
-  int64_t cur = used_.load(std::memory_order_relaxed);
-  for (;;) {
-    // relaxed: capacity is re-read each lap; a stale value flips one
-    // admission decision at worst, never the used_ <= capacity_
-    // invariant (the CAS grants against the value read here, and
-    // capacity shrink explicitly tolerates in-flight grants).
-    if (cur + bytes > capacity_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    if (used_.compare_exchange_weak(cur, cur + bytes,
-                                    std::memory_order_seq_cst)) {
-      NoteHighWater(cur + bytes);
-      return true;
-    }
-  }
+int64_t MemPool::available() const {
+  MutexLock lock(mutex_);
+  return capacity_ - used_;
+}
+
+int64_t MemPool::high_water() const {
+  MutexLock lock(mutex_);
+  return high_water_;
+}
+
+int64_t MemPool::exhausted_count() const {
+  MutexLock lock(mutex_);
+  return exhausted_;
+}
+
+int64_t MemPool::overdraft_count() const {
+  MutexLock lock(mutex_);
+  return overdraft_;
 }
 
 Status MemPool::Exhausted(size_t requested) {
-  // relaxed: monotonic stats counter for metrics export only.
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
-  // The policy hook runs on the reserving thread, outside any governor
-  // lock (the snapshot load is lock-free).
-  std::shared_ptr<const ExhaustionCallback> cb = callback_.load();
-  if (cb != nullptr && *cb) {
-    (*cb)(name_, requested);
+  int64_t available = 0;
+  int64_t capacity = 0;
+  {
+    MutexLock lock(mutex_);
+    ++exhausted_;
+    available = capacity_ - used_;
+    capacity = capacity_;
   }
   return Status::ResourceExhausted(
       "mem pool '" + name_ + "' exhausted: requested " +
-      std::to_string(requested) + " bytes, " +
-      std::to_string(available()) + " of " + std::to_string(capacity()) +
-      " available");
+      std::to_string(requested) + " bytes, " + std::to_string(available) +
+      " of " + std::to_string(capacity) + " available");
 }
 
 Status MemPool::TryReserve(size_t bytes) {
@@ -102,10 +91,16 @@ Status MemPool::TryReserve(size_t bytes) {
     return Exhausted(bytes);
   }
   if (bytes == 0) return Status::OK();
-  if (!TryChargeQuiet(static_cast<int64_t>(bytes))) {
-    return Exhausted(bytes);
+  {
+    const int64_t b = static_cast<int64_t>(bytes);
+    MutexLock lock(mutex_);
+    if (used_ + b <= capacity_) {
+      used_ += b;
+      high_water_ = std::max(high_water_, used_);
+      return Status::OK();
+    }
   }
-  return Status::OK();
+  return Exhausted(bytes);
 }
 
 Status MemPool::TryLease(size_t bytes, MemLease* lease) {
@@ -115,53 +110,18 @@ Status MemPool::TryLease(size_t bytes, MemLease* lease) {
   return Status::OK();
 }
 
-Status MemPool::ReserveFor(size_t bytes, int64_t timeout_ms) {
-  Status first = TryReserve(bytes);
-  if (first.ok()) return first;
-  const auto deadline =
-      SteadyNow() + std::chrono::milliseconds(timeout_ms);
-  MutexLock lock(mutex_);
-  for (;;) {
-    // Registration before the re-check (Dekker handshake with Release):
-    // either Release's seq_cst used_ decrement happens before our
-    // re-check — we see the space — or our seq_cst waiter registration
-    // happens before its waiter load — it takes the mutex and notifies.
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    if (TryChargeQuiet(static_cast<int64_t>(bytes))) {
-      waiters_.fetch_sub(1, std::memory_order_seq_cst);
-      return Status::OK();
-    }
-    auto now = SteadyNow();
-    if (now >= deadline) {
-      waiters_.fetch_sub(1, std::memory_order_seq_cst);
-      return Exhausted(bytes);
-    }
-    released_.WaitFor(mutex_, deadline - now);
-    waiters_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-}
-
 void MemPool::ForceReserve(size_t bytes) {
   if (bytes == 0) return;
-  int64_t b = static_cast<int64_t>(bytes);
-  int64_t now_used = used_.fetch_add(b, std::memory_order_seq_cst) + b;
-  NoteHighWater(now_used);
-  // relaxed: both the capacity read (stats-only comparison) and the
-  // overdraft counter feed monitoring; admission never reads them.
-  if (now_used > capacity_.load(std::memory_order_relaxed)) {
-    overdraft_.fetch_add(1, std::memory_order_relaxed);
-  }
+  MutexLock lock(mutex_);
+  used_ += static_cast<int64_t>(bytes);
+  high_water_ = std::max(high_water_, used_);
+  if (used_ > capacity_) ++overdraft_;
 }
 
 void MemPool::Release(size_t bytes) {
   if (bytes == 0) return;
-  used_.fetch_sub(static_cast<int64_t>(bytes), std::memory_order_seq_cst);
-  if (waiters_.load(std::memory_order_seq_cst) > 0) {
-    // Taken only on the contended path; rank kMemGovernor sits below
-    // every storage/feeds lock a releasing caller may hold.
-    MutexLock lock(mutex_);
-    released_.NotifyAll();
-  }
+  MutexLock lock(mutex_);
+  used_ -= static_cast<int64_t>(bytes);
 }
 
 MemGovernor::MemGovernor(MetricsRegistry* registry) : registry_(registry) {}
@@ -195,7 +155,6 @@ MemPool* MemGovernor::RegisterPool(const std::string& name,
       auto owned =
           std::unique_ptr<MemPool>(new MemPool(name, capacity_bytes));
       pool = owned.get();
-      pool->callback_.store(callback_);
       pools_.emplace(name, std::move(owned));
       created = true;
     }
@@ -245,29 +204,16 @@ std::vector<std::string> MemGovernor::PoolNames() const {
   return names;
 }
 
-void MemGovernor::SetExhaustionCallback(MemPool::ExhaustionCallback callback) {
-  auto shared = std::make_shared<const MemPool::ExhaustionCallback>(
-      std::move(callback));
-  MutexLock lock(mutex_);
-  callback_ = shared;
-  for (auto& [name, pool] : pools_) pool->callback_.store(shared);
-}
-
-#ifndef ASTERIX_MODEL_CHECK
 namespace {
 // Warm the default governor during static initialization (single
 // threaded, no locks held): the first Default() call registers the
 // per-pool metric providers under kMetricsProviders (rank 490), which
 // must never nest inside a lower-ranked subsystem lock — and without
 // this, "first call" is whichever subsystem constructor happens to run
-// first, typically under its owner's mutex. (Model builds skip the
-// warmup: checked executions build their own governors, and a static
-// Default() instance would feed the checker's pass-through path for
-// nothing.)
+// first, typically under its owner's mutex.
 [[maybe_unused]] const bool kWarmDefaultGovernor =
     (MemGovernor::Default(), true);
 }  // namespace
-#endif  // ASTERIX_MODEL_CHECK
 
 }  // namespace common
 }  // namespace asterix

@@ -24,10 +24,6 @@
 #include "common/deadlock_detector.h"
 #include "common/lock_rank.h"
 
-#ifdef ASTERIX_MODEL_CHECK
-#include "common/model_check.h"
-#endif
-
 // Deadlock-detector plumbing. When ASTERIX_DEADLOCK_DETECTOR is compiled
 // in, every Lock/TryLock/Unlock (and the RAII guards) captures the
 // caller's std::source_location and reports the acquisition to
@@ -98,17 +94,6 @@
 #define ASSERT_SHARED_CAPABILITY(x) \
   ASTERIX_TSA_ATTR(assert_shared_capability(x))
 
-// Model-build destructor escape hatch. A destructor that issues checker
-// hooks (MutexLock's unlock, MemLease's release) can park its thread in
-// the scheduler; if the execution is aborted while parked, the hook
-// raises the teardown exception — which must be able to propagate
-// through the destructor. Destructors are implicitly noexcept, so model
-// builds explicitly open them up; production builds keep the default.
-#ifdef ASTERIX_MODEL_CHECK
-#define ASTERIX_MC_MAY_THROW noexcept(false)
-#else
-#define ASTERIX_MC_MAY_THROW
-#endif
 #define RETURN_CAPABILITY(x) ASTERIX_TSA_ATTR(lock_returned(x))
 #define NO_THREAD_SAFETY_ANALYSIS ASTERIX_TSA_ATTR(no_thread_safety_analysis)
 
@@ -133,40 +118,13 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock(ASTERIX_DD_ARG0) ACQUIRE() {
     ASTERIX_DD_ON_ACQUIRE(rank_);
-#ifdef ASTERIX_MODEL_CHECK
-    if (mc::Active()) {
-      mc::HookMutexLock(this);
-      model_locked_ = true;
-      return;
-    }
-#endif
     mu_.lock();
   }
   void Unlock() RELEASE() {
-#ifdef ASTERIX_MODEL_CHECK
-    // Matched against the path Lock() took, NOT mc::Active() now: an
-    // execution abort unwinds RAII guards after the checker detaches,
-    // and unlocking the never-locked std::mutex would be UB.
-    if (model_locked_) {
-      model_locked_ = false;
-      if (mc::Active()) mc::HookMutexUnlock(this);
-      ASTERIX_DD_ON_RELEASE(rank_);
-      return;
-    }
-#endif
     mu_.unlock();
     ASTERIX_DD_ON_RELEASE(rank_);
   }
   bool TryLock(ASTERIX_DD_ARG0) TRY_ACQUIRE(true) {
-#ifdef ASTERIX_MODEL_CHECK
-    if (mc::Active()) {
-      // No modeled try-lock: nothing on the checked data plane uses it.
-      // Treat as a blocking acquire so a stray call stays sound.
-      mc::HookMutexLock(this);
-      model_locked_ = true;
-      return true;
-    }
-#endif
     bool acquired = mu_.try_lock();
     ASTERIX_DD_ON_TRY(rank_, acquired);
     return acquired;
@@ -183,9 +141,6 @@ class CAPABILITY("mutex") Mutex {
   friend class CondVar;
   std::mutex mu_;
   LockRank rank_ = LockRank::kUnranked;
-#ifdef ASTERIX_MODEL_CHECK
-  bool model_locked_ = false;  // single-threaded under the scheduler
-#endif
 };
 
 /// std::shared_mutex with capability annotations: exclusive writers,
@@ -244,7 +199,7 @@ class SCOPED_CAPABILITY MutexLock {
   }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-  ~MutexLock() ASTERIX_MC_MAY_THROW RELEASE() { mu_.Unlock(); }
+  ~MutexLock() RELEASE() { mu_.Unlock(); }
 
  private:
   Mutex& mu_;
@@ -295,12 +250,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(Mutex& mu) REQUIRES(mu) {
-#ifdef ASTERIX_MODEL_CHECK
-    if (mc::Active()) {
-      (void)mc::HookCvWait(this, &mu, /*timed=*/false, {});
-      return;
-    }
-#endif
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // the caller's scope still owns the mutex
@@ -308,12 +257,6 @@ class CondVar {
 
   template <typename Predicate>
   void Wait(Mutex& mu, Predicate pred) REQUIRES(mu) {
-#ifdef ASTERIX_MODEL_CHECK
-    if (mc::Active()) {
-      while (!pred()) (void)mc::HookCvWait(this, &mu, /*timed=*/false, {});
-      return;
-    }
-#endif
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock, std::move(pred));
     lock.release();
@@ -323,14 +266,6 @@ class CondVar {
   std::cv_status WaitFor(Mutex& mu,
                          const std::chrono::duration<Rep, Period>& timeout)
       REQUIRES(mu) {
-#ifdef ASTERIX_MODEL_CHECK
-    if (mc::Active()) {
-      bool woken = mc::HookCvWait(
-          this, &mu, /*timed=*/true,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(timeout));
-      return woken ? std::cv_status::no_timeout : std::cv_status::timeout;
-    }
-#endif
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     std::cv_status status = cv_.wait_for(lock, timeout);
     lock.release();
@@ -342,46 +277,14 @@ class CondVar {
   template <typename Rep, typename Period, typename Predicate>
   bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout,
                Predicate pred) REQUIRES(mu) {
-#ifdef ASTERIX_MODEL_CHECK
-    if (mc::Active()) {
-      while (!pred()) {
-        if (!mc::HookCvWait(
-                this, &mu, /*timed=*/true,
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    timeout))) {
-          return pred();
-        }
-      }
-      return true;
-    }
-#endif
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     bool satisfied = cv_.wait_for(lock, timeout, std::move(pred));
     lock.release();
     return satisfied;
   }
 
-  void NotifyOne() {
-#ifdef ASTERIX_MODEL_CHECK
-    // Modeled as NotifyAll: woken waiters re-check their condition, so
-    // over-waking explores a superset of behaviours (sound for safety
-    // properties; it cannot mask a lost wakeup).
-    if (mc::Active()) {
-      mc::HookCvNotifyAll(this);
-      return;
-    }
-#endif
-    cv_.notify_one();
-  }
-  void NotifyAll() {
-#ifdef ASTERIX_MODEL_CHECK
-    if (mc::Active()) {
-      mc::HookCvNotifyAll(this);
-      return;
-    }
-#endif
-    cv_.notify_all();
-  }
+  void NotifyOne() { cv_.notify_one(); }
+  void NotifyAll() { cv_.notify_all(); }
 
  private:
   std::condition_variable cv_;

@@ -1,6 +1,8 @@
 #include "common/thread_annotations.h"
 #include "feeds/central.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 
 #include "common/logging.h"
@@ -946,8 +948,10 @@ void CentralFeedManager::TerminateConnectionLocked(ConnectionInfo* conn,
 
 void CentralFeedManager::StartMonitor(int64_t period_ms) {
   if (monitoring_.exchange(true)) return;
-  monitor_thread_ =
-      std::thread([this, period_ms] { MonitorLoop(period_ms); });
+  monitor_thread_ = std::thread([this, period_ms] {
+    pthread_setname_np(pthread_self(), "central_mon");
+    MonitorLoop(period_ms);
+  });
 }
 
 void CentralFeedManager::StopMonitor() {

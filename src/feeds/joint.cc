@@ -15,15 +15,19 @@ using common::Status;
 using hyracks::FramePtr;
 
 std::shared_ptr<FeedJoint::Routes> FeedJoint::CloneRoutes() const {
-  return std::make_shared<Routes>(
-      *routes_.load());
+  return std::make_shared<Routes>(*routes_);
+}
+
+std::shared_ptr<const FeedJoint::Routes> FeedJoint::LoadRoutes() const {
+  common::MutexLock lock(mutex_);
+  return routes_;
 }
 
 void FeedJoint::SetPrimary(std::shared_ptr<hyracks::IFrameWriter> primary) {
   common::MutexLock lock(mutex_);
   auto next = CloneRoutes();
   next->primary = std::move(primary);
-  routes_.store(std::move(next));
+  routes_ = std::move(next);
 }
 
 void FeedJoint::DetachPrimary() {
@@ -33,7 +37,7 @@ void FeedJoint::DetachPrimary() {
     auto next = CloneRoutes();
     primary = std::move(next->primary);
     next->primary = nullptr;
-    routes_.store(std::move(next));
+    routes_ = std::move(next);
   }
   if (primary != nullptr) {
     Status close_status = primary->Close();
@@ -57,7 +61,7 @@ std::shared_ptr<SubscriberQueue> FeedJoint::Subscribe(
     return queue;
   }
   next->subscribers.push_back(queue);
-  routes_.store(std::move(next));
+  routes_ = std::move(next);
   return queue;
 }
 
@@ -67,15 +71,15 @@ void FeedJoint::Unsubscribe(const std::shared_ptr<SubscriberQueue>& queue) {
   next->subscribers.erase(std::remove(next->subscribers.begin(),
                                       next->subscribers.end(), queue),
                           next->subscribers.end());
-  routes_.store(std::move(next));
+  routes_ = std::move(next);
 }
 
 size_t FeedJoint::subscriber_count() const {
-  return routes_.load()->subscribers.size();
+  return LoadRoutes()->subscribers.size();
 }
 
 bool FeedJoint::ReadAheadFull() const {
-  std::shared_ptr<const Routes> routes = routes_.load();
+  std::shared_ptr<const Routes> routes = LoadRoutes();
   return std::any_of(routes->subscribers.begin(), routes->subscribers.end(),
                      [](const std::shared_ptr<SubscriberQueue>& queue) {
                        return queue->ReadAheadFull();
@@ -88,12 +92,12 @@ Status FeedJoint::NextFrame(const FramePtr& frame) {
   ASTERIX_FAILPOINT("feeds.joint.route");
   const hyracks::TraceContext tc = frame->trace();
   const int64_t route_start_us = tc.sampled() ? common::NowMicros() : 0;
-  // One atomic snapshot load; the shared_ptr keeps the recipient list
-  // (and every queue on it) alive for the duration of the fan-out even
-  // if an Unsubscribe publishes a new snapshot mid-delivery. No lock is
-  // taken and no per-frame copy of the subscriber list is made.
-  std::shared_ptr<const Routes> routes =
-      routes_.load();
+  // One snapshot copy under mutex_; the shared_ptr keeps the recipient
+  // list (and every queue on it) alive for the duration of the fan-out
+  // even if an Unsubscribe publishes a new snapshot mid-delivery. The
+  // fan-out runs with the lock released, and no per-frame copy of the
+  // subscriber list is made.
+  std::shared_ptr<const Routes> routes = LoadRoutes();
   // relaxed: stats counter for the joint gauge; delivery ordering is
   // carried by the queues, not this count.
   frames_routed_.fetch_add(1, std::memory_order_relaxed);
@@ -129,7 +133,7 @@ void FeedJoint::Fail() {
     auto next = CloneRoutes();
     next->closed = true;
     last = std::move(next);
-    routes_.store(last);
+    routes_ = last;
   }
   for (const auto& subscriber : last->subscribers) subscriber->DeliverEnd();
   if (last->primary != nullptr) last->primary->Fail();
@@ -142,7 +146,7 @@ Status FeedJoint::Close() {
     auto next = CloneRoutes();
     next->closed = true;
     last = std::move(next);
-    routes_.store(last);
+    routes_ = last;
   }
   for (const auto& subscriber : last->subscribers) subscriber->DeliverEnd();
   if (last->primary != nullptr) return last->primary->Close();
@@ -150,7 +154,7 @@ Status FeedJoint::Close() {
 }
 
 bool FeedJoint::closed() const {
-  return routes_.load()->closed;
+  return LoadRoutes()->closed;
 }
 
 }  // namespace feeds

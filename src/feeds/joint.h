@@ -8,12 +8,14 @@
 // Bucket, §5.4.1) and each queue drains at its own pace: Guaranteed
 // Delivery and Congestion Isolation.
 //
-// Data-plane layout (lock-free rewire): the routing table (primary +
-// subscriber list + closed flag) is an immutable snapshot behind an
-// atomic shared_ptr. The per-frame path is one atomic snapshot load —
-// no mutex, no per-frame vector copy. Membership changes (subscribe,
-// unsubscribe, detach, close) are rare control-path events: they
-// serialize on mutex_ and publish a fresh copy-on-write snapshot.
+// Data-plane layout: the routing table (primary + subscriber list +
+// closed flag) is an immutable copy-on-write snapshot held by a
+// shared_ptr under mutex_. The per-frame path copies that pointer under
+// the lock (one refcount bump) and fans out with the lock released, so
+// a slow subscriber or a blocking primary never holds up a membership
+// change. Membership changes (subscribe, unsubscribe, detach, close)
+// are rare control-path events: they publish a fresh snapshot under
+// mutex_.
 #pragma once
 
 #include <atomic>
@@ -21,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot_ptr.h"
 #include "common/thread_annotations.h"
 #include "feeds/subscriber.h"
 #include "hyracks/frame.h"
@@ -55,7 +56,8 @@ class FeedJoint : public hyracks::IFrameWriter {
 
   /// True while some subscriber queue is past its read-ahead allowance
   /// (SubscriberQueue::ReadAheadFull): a pull source paces itself by
-  /// this. One snapshot load and relaxed reads; no lock.
+  /// this. Copies the snapshot under mutex_, then reads each queue's
+  /// counters with the joint's lock released.
   bool ReadAheadFull() const;
 
   /// Producer-side IFrameWriter API (the subscribable operator's output).
@@ -78,18 +80,18 @@ class FeedJoint : public hyracks::IFrameWriter {
     bool closed = false;
   };
 
-  /// Copies the current snapshot for a writer to edit. Caller publishes
-  /// the result with a release store to routes_.
+  /// Copies the current snapshot for a writer to edit; the caller
+  /// publishes the result by assigning it to routes_.
   std::shared_ptr<Routes> CloneRoutes() const REQUIRES(mutex_);
 
+  /// The current snapshot, copied under mutex_ for use after release.
+  std::shared_ptr<const Routes> LoadRoutes() const EXCLUDES(mutex_);
+
   const std::string id_;
-  // Serializes snapshot *writers* only; the frame path never takes it.
+  // Held only to copy or replace routes_, never across a delivery.
   mutable common::Mutex mutex_{common::LockRank::kFeedJoint};
-  // Self-synchronized publication slot (see SnapshotPtr for why this is
-  // not std::atomic<std::shared_ptr>): readers load a snapshot, writers
-  // store a fresh clone under mutex_. Not GUARDED_BY — the hot path
-  // never takes mutex_.
-  common::SnapshotPtr<const Routes> routes_{std::make_shared<const Routes>()};
+  std::shared_ptr<const Routes> routes_ GUARDED_BY(mutex_) =
+      std::make_shared<const Routes>();
   std::atomic<int64_t> frames_routed_{0};
 };
 

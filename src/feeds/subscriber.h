@@ -161,7 +161,8 @@ class SubscriberQueue {
 
   const SubscriberOptions options_;
   // Resolved governor pools (options_ pools or the Default() governor's
-  // standard pools). Charged lock-free; never null after construction.
+  // standard pools). Charged under each pool's leaf mutex, which ranks
+  // below mutex_; never null after construction.
   common::MemPool* const mem_pool_;
   common::MemPool* const spill_pool_;
   mutable common::Mutex mutex_{common::LockRank::kSubscriberQueue};

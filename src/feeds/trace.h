@@ -121,7 +121,8 @@ class Tracer {
   std::atomic<uint64_t> sample_counter_{0};  // fractional-rate stride
 
   // Resolved once at construction (Default() governor's "span_ring"
-  // pool); reserve/release are lock-free, safe under mutex_.
+  // pool); reserve/release take the pool's leaf mutex (kMemGovernor),
+  // which ranks below mutex_.
   common::MemPool* span_pool_ = nullptr;
 
   mutable common::Mutex mutex_{common::LockRank::kTracer};

@@ -1,5 +1,7 @@
 #include "gen/tweetgen.h"
 
+#include <pthread.h>
+
 #include "common/clock.h"
 #include "common/logging.h"
 
@@ -75,7 +77,10 @@ TweetGenServer::~TweetGenServer() {
 }
 
 void TweetGenServer::Start(double time_scale) {
-  thread_ = std::thread([this, time_scale] { RunLoop(time_scale); });
+  thread_ = std::thread([this, time_scale] {
+    pthread_setname_np(pthread_self(), "tweetgen");
+    RunLoop(time_scale);
+  });
 }
 
 void TweetGenServer::Stop() { stop_.store(true); }

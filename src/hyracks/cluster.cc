@@ -1,6 +1,8 @@
 #include "common/thread_annotations.h"
 #include "hyracks/cluster.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 
 #include "common/clock.h"
@@ -277,7 +279,10 @@ void ClusterController::ForgetJob(JobId id) {
 
 void ClusterController::Start() {
   if (running_.exchange(true)) return;
-  monitor_thread_ = std::thread([this] { MonitorLoop(); });
+  monitor_thread_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "cluster_mon");
+    MonitorLoop();
+  });
 }
 
 void ClusterController::Stop() {

@@ -1,6 +1,8 @@
 #include "common/thread_annotations.h"
 #include "hyracks/node.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 
 #include "common/failpoint.h"
@@ -99,6 +101,7 @@ void NodeController::Restart() {
 void NodeController::StartHeartbeats(int64_t period_ms) {
   if (heartbeats_on_.exchange(true)) return;
   heartbeat_thread_ = std::thread([this, period_ms] {
+    pthread_setname_np(pthread_self(), "heartbeat");
     HeartbeatLoop(period_ms);
   });
 }

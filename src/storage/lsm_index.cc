@@ -1,5 +1,7 @@
 #include "storage/lsm_index.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <unordered_map>
 
@@ -54,7 +56,10 @@ LsmIndex::LsmIndex(LsmOptions options) : options_(options) {
   metric_flush_backlog_ = reg.GetGauge("lsm_flush_backlog");
   if (options_.async_maintenance) {
     maintenance_running_ = true;
-    maintenance_ = std::thread([this] { MaintenanceMain(); });
+    maintenance_ = std::thread([this] {
+      pthread_setname_np(pthread_self(), "lsm_maint");
+      MaintenanceMain();
+    });
   }
 }
 

@@ -216,7 +216,8 @@ class LsmIndex {
   bool maintenance_running_ GUARDED_BY(mutex_) = false;
   std::thread maintenance_;  // started in the ctor, joined in Close()
   // Resolved governor pools (options_ pools or the Default() governor's
-  // standard pools). Reserve/Release are lock-free (safe under mutex_).
+  // standard pools). Reserve/Release take the pool's leaf mutex
+  // (kMemGovernor), which ranks below mutex_.
   common::MemPool* memtable_pool_ = nullptr;
   common::MemPool* merge_pool_ = nullptr;  // set once in ctor, then read-only
 

@@ -88,7 +88,8 @@ class Wal {
   const std::string path_;
   const bool durable_;
   // Resolved governor pool (ctor arg or the Default() governor's "wal"
-  // pool). Leased lock-free per append; never null after construction.
+  // pool). Leased per append under the pool's leaf mutex; never null
+  // after construction.
   common::MemPool* const wal_pool_;
   mutable common::Mutex mutex_{common::LockRank::kWal};
   std::FILE* file_ GUARDED_BY(mutex_) = nullptr;

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/atomic_shim.h"
 #include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
@@ -17,54 +16,6 @@
 namespace asterix {
 namespace common {
 namespace {
-
-// ---- atomic shim pass-through (normal build) ------------------------
-// The model build replaces these primitives wholesale; these tests pin
-// the NORMAL build's behaviour so the shim can never drift from the std
-// primitives it aliases (the static_asserts in atomic_shim.h pin the
-// layout; these pin the semantics the data plane relies on).
-
-TEST(AtomicShimTest, AtomicIsStdAtomicPassThrough) {
-  static_assert(std::is_same_v<Atomic<uint64_t>, std::atomic<uint64_t>>);
-  Atomic<uint64_t> a{7};
-  EXPECT_EQ(a.load(std::memory_order_acquire), 7u);
-  EXPECT_EQ(a.fetch_add(3, std::memory_order_acq_rel), 7u);
-  uint64_t expected = 10;
-  EXPECT_TRUE(a.compare_exchange_strong(expected, 42));
-  EXPECT_EQ(a.load(), 42u);
-}
-
-TEST(AtomicShimTest, DataCellSetTakeCopySwap) {
-  DataCell<int> cell(5);
-  EXPECT_EQ(cell.Copy(), 5);
-  cell.Set(9);
-  EXPECT_EQ(cell.Copy(), 9);
-  int other = 11;
-  cell.SwapWith(other);
-  EXPECT_EQ(other, 9);
-  EXPECT_EQ(cell.Copy(), 11);
-  EXPECT_EQ(cell.Take(), 11);
-  EXPECT_EQ(cell.Copy(), 0);  // Take resets to T{}
-}
-
-TEST(AtomicShimTest, SpinWaitWhileReturnsOnStore) {
-  Atomic<bool> flag{true};
-  std::thread releaser([&] {
-    SleepMillis(5);
-    flag.store(false, std::memory_order_release);
-  });
-  SpinWaitWhile(flag, true);  // must return once the store lands
-  EXPECT_FALSE(flag.load(std::memory_order_acquire));
-  releaser.join();
-}
-
-TEST(AtomicShimTest, FenceIsCallable) {
-  // Pass-through build: these compile to std::atomic_thread_fence and are
-  // safe to call from any context.
-  AtomicFence(std::memory_order_seq_cst);
-  AtomicFence(std::memory_order_acquire);
-  AtomicFence(std::memory_order_release);
-}
 
 TEST(StatusTest, DefaultIsOk) {
   Status s;

@@ -1,6 +1,7 @@
 // Unit tests of the feed substrate: policies, UDFs, joints and the
 // lifetime of the frames they share, the policy-enforcing subscriber
 // queues, ack machinery, adaptors and the feed catalog.
+#include <atomic>
 #include <bit>
 #include <filesystem>
 #include <fstream>
@@ -313,6 +314,84 @@ TEST(JointTest, DetachPrimaryClosesOnlyInJobPath) {
   ASSERT_TRUE(joint.NextFrame(FrameOf(1)).ok());
   EXPECT_EQ(probe->frames, 1);  // primary no longer fed
   EXPECT_EQ(queue->stats().frames_delivered, 2);  // subscriber still is
+}
+
+// Routing threads call NextFrame while another thread subscribes and
+// unsubscribes queues. The joint publishes its routes under its mutex and
+// fans out with the lock released, so: a queue subscribed for the whole
+// window receives every frame of every router, each router's frames in
+// order; and a queue subscribed mid-stream receives, from each router,
+// one gap-free run in order (no frame skipped between its first and
+// last). Under tsan-chaos this is also a race check on the routes.
+TEST(JointTest, ConcurrentRoutingAndResubscription) {
+  constexpr int kRouters = 3;
+  constexpr int kFramesPerRouter = 2000;
+  constexpr int kMaxTransient = 500;
+  FeedJoint joint("J");
+  std::vector<std::shared_ptr<SubscriberQueue>> stable;
+  for (int i = 0; i < 2; ++i) stable.push_back(joint.Subscribe({}));
+
+  std::atomic<bool> go{false};
+  std::atomic<int> routers_done{0};
+  std::vector<std::thread> routers;
+  for (int r = 0; r < kRouters; ++r) {
+    routers.emplace_back([&, r] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kFramesPerRouter; ++i) {
+        EXPECT_TRUE(
+            joint.NextFrame(FrameOf(1, r * kFramesPerRouter + i)).ok());
+      }
+      routers_done.fetch_add(1);
+    });
+  }
+  std::vector<std::shared_ptr<SubscriberQueue>> transient;
+  std::thread churn([&] {
+    while (routers_done.load() < kRouters &&
+           static_cast<int>(transient.size()) < kMaxTransient) {
+      auto queue = joint.Subscribe({});
+      go.store(true);  // routing starts once the churn is under way
+      // Stay subscribed while a few frames are routed.
+      const int64_t routed = joint.frames_routed();
+      while (joint.frames_routed() < routed + 8 &&
+             routers_done.load() < kRouters) {
+        std::this_thread::yield();
+      }
+      joint.Unsubscribe(queue);
+      transient.push_back(std::move(queue));
+    }
+  });
+  for (auto& t : routers) t.join();
+  churn.join();
+  EXPECT_EQ(joint.subscriber_count(), stable.size());
+  EXPECT_EQ(joint.frames_routed(), kRouters * kFramesPerRouter);
+
+  // Per router, the sequence numbers a queue received, in arrival order.
+  auto received = [](SubscriberQueue& queue) {
+    std::vector<std::vector<int64_t>> by_router(kRouters);
+    for (const FramePtr& frame : queue.NextBatch(0)) {
+      int64_t n = frame->records()[0].GetField("n")->AsInt64();
+      by_router[n / kFramesPerRouter].push_back(n % kFramesPerRouter);
+    }
+    return by_router;
+  };
+  for (auto& queue : stable) {
+    for (const auto& seqs : received(*queue)) {
+      ASSERT_EQ(seqs.size(), static_cast<size_t>(kFramesPerRouter));
+      for (int i = 0; i < kFramesPerRouter; ++i) EXPECT_EQ(seqs[i], i);
+    }
+  }
+  int overlapped = 0;  // transient queues that saw routing traffic
+  for (auto& queue : transient) {
+    bool any = false;
+    for (const auto& seqs : received(*queue)) {
+      any = any || !seqs.empty();
+      for (size_t i = 1; i < seqs.size(); ++i) {
+        EXPECT_EQ(seqs[i], seqs[i - 1] + 1);
+      }
+    }
+    overlapped += any ? 1 : 0;
+  }
+  EXPECT_GT(overlapped, 0) << "churn never overlapped routing";
 }
 
 // --- subscriber queues (policy runtimes) --------------------------------

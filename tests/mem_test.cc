@@ -1,5 +1,5 @@
 // Memory-governance tests: MemGovernor/MemPool semantics (reservation,
-// leases, blocking ReserveFor, conservation under concurrency), FramePool
+// leases, conservation under concurrency), FramePool
 // recycling, and the headline claim of the pooled frame path — ZERO heap
 // allocations per frame in the warm steady state, proven with the
 // operator-new interposer from testing_util.h.
@@ -156,41 +156,6 @@ TEST(MemPool, LeaseDisownTransfersChargeToCaller) {
   EXPECT_EQ(pool->used(), 0);
 }
 
-TEST(MemPool, ReserveForBlocksUntilReleased) {
-  auto gov = TestGovernor();
-  MemPool* pool = gov->RegisterPool("p", 100);
-  ASSERT_TRUE(pool->TryReserve(100).ok());
-  std::thread releaser = testing::After(50, [pool] { pool->Release(60); });
-  // Parks until the releaser frees enough, then succeeds within capacity.
-  EXPECT_TRUE(pool->ReserveFor(50, 5000).ok());
-  releaser.join();
-  EXPECT_EQ(pool->used(), 90);
-  EXPECT_LE(pool->high_water(), 100);  // never granted past capacity
-  pool->Release(90);
-}
-
-TEST(MemPool, ReserveForTimesOutPastExhaustion) {
-  auto gov = TestGovernor();
-  MemPool* pool = gov->RegisterPool("p", 100);
-  ASSERT_TRUE(pool->TryReserve(100).ok());
-  Status timed_out = pool->ReserveFor(1, 50);
-  EXPECT_TRUE(timed_out.IsResourceExhausted());
-  EXPECT_EQ(pool->used(), 100);  // the failed wait charged nothing
-  pool->Release(100);
-}
-
-TEST(MemPool, ReserveForUnblockedByCapacityGrowth) {
-  auto gov = TestGovernor();
-  MemPool* pool = gov->RegisterPool("p", 100);
-  ASSERT_TRUE(pool->TryReserve(100).ok());
-  std::thread grower =
-      testing::After(50, [pool] { pool->SetCapacity(200); });
-  EXPECT_TRUE(pool->ReserveFor(50, 5000).ok());
-  grower.join();
-  EXPECT_EQ(pool->used(), 150);
-  pool->Release(150);
-}
-
 TEST(MemGovernor, RegisterPoolIsGetOrCreate) {
   auto gov = TestGovernor();
   MemPool* a = gov->RegisterPool("alpha", 100);
@@ -214,29 +179,6 @@ TEST(MemGovernor, DefaultHasTheStandardPools) {
     ASSERT_NE(pool, nullptr) << name;
     EXPECT_GT(pool->capacity(), 0) << name;
   }
-}
-
-TEST(MemGovernor, ExhaustionCallbackSeesPoolAndRequest) {
-  auto gov = TestGovernor();
-  MemPool* pool = gov->RegisterPool("tight", 10);
-  std::atomic<int> calls{0};
-  std::string seen_pool;
-  size_t seen_bytes = 0;
-  gov->SetExhaustionCallback(
-      [&](const std::string& name, size_t requested) {
-        calls.fetch_add(1);
-        seen_pool = name;
-        seen_bytes = requested;
-      });
-  EXPECT_TRUE(pool->TryReserve(11).IsResourceExhausted());
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(seen_pool, "tight");
-  EXPECT_EQ(seen_bytes, 11u);
-  // Pools registered after the callback inherit it.
-  MemPool* later = gov->RegisterPool("later", 0);
-  EXPECT_TRUE(later->TryReserve(1).IsResourceExhausted());
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(seen_pool, "later");
 }
 
 // --- budget property test (seeded, concurrent) --------------------------
@@ -326,35 +268,6 @@ TEST(MemPoolProperty, ConcurrentReserveReleaseConservation) {
   EXPECT_FALSE(violated.load());
   EXPECT_EQ(pool->used(), 0);  // conservation: everything came back
   EXPECT_GT(pool->high_water(), 0);
-  EXPECT_LE(pool->high_water(), kCapacity);
-}
-
-// ReserveFor under concurrent churn: waiters must never be granted past
-// exhaustion and must not deadlock against releasers.
-TEST(MemPoolProperty, BlockingWaitersNeverOvershoot) {
-  auto gov = TestGovernor();
-  constexpr int64_t kCapacity = 64 * 1024;
-  MemPool* pool = gov->RegisterPool("waiters", kCapacity);
-
-  constexpr int kThreads = 6;
-  constexpr int kOpsPerThread = 300;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      common::Rng rng(99 + t);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        size_t bytes = static_cast<size_t>(rng.Uniform(1024, 32 * 1024));
-        if (pool->ReserveFor(bytes, 200).ok()) {
-          ASSERT_LE(pool->used(), kCapacity);
-          common::SleepMillis(rng.Uniform(0, 1));
-          pool->Release(bytes);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(pool->used(), 0);
   EXPECT_LE(pool->high_water(), kCapacity);
 }
 

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "asterix/asterix.h"
+#include "common/failpoint.h"
 #include "common/observability.h"
 #include "feeds/metrics.h"
 #include "feeds/policy.h"
@@ -380,6 +383,67 @@ TEST(ObservabilityE2ETest, CascadeLatencyHistogramsAndSpanConservation) {
   ASSERT_TRUE(db.DisconnectFeed("ObsFeed", "ObsSink").ok());
   feeds::ExternalSourceRegistry::Instance().UnregisterChannel("obs:1");
   tracer.Reset();
+}
+
+// --- thread names (per-thread CPU attribution) -------------------------------
+
+// The names of this process's threads, as per-thread tools (top -H,
+// /proc/<pid>/task/*/comm) show them.
+std::set<std::string> ThreadNames() {
+  std::set<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.insert(name);
+  }
+  return names;
+}
+
+// Every long-lived engine thread is named, so per-thread CPU can be
+// attributed to a stage or a control loop rather than to the binary.
+TEST(ThreadNamesTest, EngineThreadsAreNamedWhileAFeedRuns) {
+  gen::TweetGenServer source(0, gen::Pattern::Constant(500, 20000));
+  AsterixInstance db(FastOptions(2));
+  ASSERT_TRUE(db.Start().ok());
+  ASSERT_TRUE(db.CreateDataset(TweetsDataset("NamedSink")).ok());
+  feeds::ExternalSourceRegistry::Instance().RegisterChannel(
+      "names:1", &source.channel());
+  feeds::FeedDef feed;
+  feed.name = "NamedFeed";
+  feed.adaptor_alias = "socket_adaptor";
+  feed.adaptor_config = {{"sockets", "names:1"}};
+  ASSERT_TRUE(db.CreateFeed(feed).ok());
+  ASSERT_TRUE(db.ConnectFeed("NamedFeed", "NamedSink", "Basic").ok());
+  // A step far in the future keeps the chaos driver parked for the test.
+  common::ChaosSchedule chaos;
+  chaos.DisarmAt(60000, "feeds.joint.route");
+  chaos.Start();
+  source.Start();
+
+  const std::vector<std::string> expected = {
+      "lsm_maint",   "heartbeat", "cluster_mon",
+      "central_mon", "tweetgen",  "chaos_driver"};
+  std::set<std::string> seen;
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        seen = ThreadNames();
+        return std::all_of(expected.begin(), expected.end(),
+                           [&](const std::string& name) {
+                             return seen.count(name) > 0;
+                           }) &&
+               db.CountDataset("NamedSink").value() > 0;
+      },
+      10000));
+  for (const std::string& name : expected) {
+    EXPECT_EQ(seen.count(name), 1u) << "no thread named " << name;
+  }
+
+  chaos.Stop();
+  source.Stop();
+  source.Join();
+  ASSERT_TRUE(db.DisconnectFeed("NamedFeed", "NamedSink").ok());
+  feeds::ExternalSourceRegistry::Instance().UnregisterChannel("names:1");
 }
 
 }  // namespace

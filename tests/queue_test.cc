@@ -1,8 +1,7 @@
 // Property and stress tests for common::BlockingQueue, the one queue type
 // (common/blocking_queue.h), as the task pump drives it: conservation
 // under multi-writer/multi-reader load, per-producer order, capacity
-// back-pressure, Close semantics and the batched PopAllInto drain. Also
-// covers common::SnapshotPtr (common/snapshot_ptr.h).
+// back-pressure, Close semantics and the batched PopAllInto drain.
 // The whole file runs under the tsan-chaos preset (see CMakePresets.json)
 // so every interleaving claim here is also a ThreadSanitizer claim.
 #include <atomic>
@@ -16,7 +15,6 @@
 #include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/rng.h"
-#include "common/snapshot_ptr.h"
 #include "testing_util.h"
 
 namespace asterix {
@@ -202,47 +200,6 @@ TEST(BlockingQueue, PerProducerOrderPreserved) {
     EXPECT_LT(last[p], v % kPerProducer);
     last[p] = v % kPerProducer;
   }
-}
-
-TEST(SnapshotPtr, LoadReturnsInitialAndStoredValues) {
-  common::SnapshotPtr<const int> p(std::make_shared<const int>(1));
-  EXPECT_EQ(*p.load(), 1);
-  p.store(std::make_shared<const int>(2));
-  EXPECT_EQ(*p.load(), 2);
-}
-
-// The property std::atomic<std::shared_ptr> could not give us under
-// TSan: concurrent loads and stores with internally consistent
-// snapshots. Each snapshot is a pair whose halves must agree; a reader
-// observing a torn or stale-mixed snapshot means the publication lacks
-// the cross-critical-section happens-before edge SnapshotPtr exists to
-// provide. Under the tsan-chaos preset this is also a direct race check
-// on the lock-bit protocol itself.
-TEST(SnapshotPtr, ConcurrentLoadStoreYieldsConsistentSnapshots) {
-  struct Pair {
-    int64_t a;
-    int64_t b;  // always 2 * a
-  };
-  common::SnapshotPtr<const Pair> p(std::make_shared<const Pair>(Pair{0, 0}));
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      int64_t last_seen = -1;
-      while (!stop.load(std::memory_order_relaxed)) {
-        std::shared_ptr<const Pair> snap = p.load();
-        ASSERT_EQ(snap->b, 2 * snap->a);      // never torn
-        ASSERT_GE(snap->a, last_seen);        // never moves backwards
-        last_seen = snap->a;
-      }
-    });
-  }
-  for (int64_t i = 1; i <= 2000; ++i) {
-    p.store(std::make_shared<const Pair>(Pair{i, 2 * i}));
-  }
-  stop.store(true);
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(p.load()->a, 2000);
 }
 
 // tsan soak: sustained mixed traffic (non-blocking pushes, batched

@@ -549,12 +549,7 @@ def check_hot_alloc(program, opts):
 
 def check_mem_order(program, opts):
     findings = []
-    relaxed = {"memory_order_relaxed", "kRelaxed"}
     for path, toks in sorted(program.files.items()):
-        rel = opts["rel"](path)
-        if opts.get("allowlists", True) \
-                and rel in config.MEM_ORDER_FILE_ALLOWLIST:
-            continue
         comments = {}
         for t in toks:
             if t.kind == COMMENT:
@@ -563,9 +558,7 @@ def check_mem_order(program, opts):
         lines = opts["read_lines"](path)
         code = [t for t in toks if t.kind not in (COMMENT, "pp")]
         for i, t in enumerate(code):
-            if t.kind != ID or t.text not in relaxed:
-                continue
-            if t.text == "kRelaxed" and not _is_order_context(code, i):
+            if t.kind != ID or t.text != "memory_order_relaxed":
                 continue
             if any("relaxed:" in c for c in comments.get(t.line, [])):
                 continue
@@ -587,19 +580,6 @@ def check_mem_order(program, opts):
                     f"justification comment (say why no ordering is "
                     f"needed, or use a stronger order)"))
     return findings, {}
-
-
-def _is_order_context(code, i):
-    """kRelaxed only counts when used as a memory-order argument (it is a
-    generic-enough name that other enums could use it)."""
-    for j in range(max(0, i - 6), i):
-        if code[j].kind == ID and code[j].text in (
-                "memory_order", "Atomic", "AtomicFence", "load", "store",
-                "exchange", "fetch_add", "fetch_sub", "fetch_or",
-                "fetch_and", "compare_exchange_weak",
-                "compare_exchange_strong"):
-            return True
-    return False
 
 
 def _attached_op(code, i):

@@ -34,7 +34,6 @@ UNACQUIRED_RANK_ALLOWLIST = {
 # a finding when any lock is held.
 BLOCKING_OPS = {
     "Wait", "WaitFor", "WaitUntil",            # CondVar
-    "ReserveFor",                               # MemPool parking reserve
     "PopFor",                                   # BlockingQueue timed pop
     "sleep_for", "sleep_until", "SleepMillis", "SleepMicros",
     "join",                                     # thread join
@@ -156,32 +155,18 @@ HOT_PRUNE = {
     "LOG_MSG": "log macro: rate-limited slow path by contract",
 }
 
-# Files whose allocation behavior is proven elsewhere, or that only exist
-# in non-production builds.
+# Files whose allocation behavior is proven elsewhere.
 HOT_FILE_ALLOWLIST = {
     "src/common/blocking_queue.h":
         "the items vector and a PopAllInto caller's batch vector keep their "
         "capacity across drains; mem_test ZeroAllocSteadyState moves every "
         "frame through Push + PopAllInto and asserts 0 allocations",
-    "src/common/model_check.h":
-        "ASTERIX_MODEL_CHECK builds only: the checker engine may allocate; "
-        "production builds alias common::Atomic to std::atomic",
-    "src/common/model_check.cc":
-        "ASTERIX_MODEL_CHECK builds only (see model_check.h)",
 }
 
 # --------------------------------------------------------------------------
 # Check 4 — MEM-ORDER (AST grade)
 # --------------------------------------------------------------------------
 
-# Files exempt from per-site relaxed justifications (carried over from the
-# retired regex lint; the justification lives at file scope there).
-MEM_ORDER_FILE_ALLOWLIST = {
-    "src/common/snapshot_ptr.h",
-    "src/common/atomic_shim.h",
-    "src/common/model_check.h",
-    "src/common/model_check.cc",
-}
 MEM_ORDER_LOOKBACK = 8
 
 # --------------------------------------------------------------------------

@@ -449,8 +449,6 @@ def _parse_field_segment(seg, cls, fname, comments_by_line):
 _MEMORY_ORDERS = {
     "memory_order_relaxed", "memory_order_acquire", "memory_order_release",
     "memory_order_acq_rel", "memory_order_seq_cst", "memory_order_consume",
-    # common::Atomic shim aliases (atomic_shim.h re-exports the std names)
-    "kRelaxed", "kAcquire", "kRelease", "kAcqRel", "kSeqCst",
 }
 
 

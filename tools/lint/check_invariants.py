@@ -23,15 +23,10 @@ Checks, each with a stable ID used in failure output:
               so every lock is an annotated common::Mutex
   LOCK-RANK   every common::Mutex/SharedMutex construction in src/ names
               a LockRank in its brace initializer
-  RANK-EXEMPT the lock-bit snapshot slot (src/common/snapshot_ptr.h) is
-              rank-exempt by design — the README "Data plane" section
-              must exist and document the exemption, so the claim that
-              every other lock is ranked stays honest
-  SPIN-PARK   no raw atomic spin loops outside src/common/snapshot_ptr.h
-              (and the atomic shim's SpinWaitWhile it uses):
+  SPIN-PARK   no raw atomic spin loops anywhere in src/:
               std::this_thread::yield and empty-body `while (x.load())`
-              busy-waits are banned in src/ — waiters must park on a
-              CondVar, not burn a core
+              busy-waits are banned — waiters must park on a CondVar,
+              not burn a core
   MEM-POOL    every MemPool TryReserve/TryLease call site in src/ must
               consume the returned Status (assign it, test it, or return
               it) — the admission verdict is the whole point of asking
@@ -41,8 +36,7 @@ Checks, each with a stable ID used in failure output:
 
 Retired here, now owned by the AST-grade analyzer (tools/analyze, ctest
 `analyze_src`/`analyze_fixtures`): MEM-ORDER (token-accurate relaxed-
-ordering justifications, including the common::Atomic kRelaxed shim) and
-GUARDED-BY (field coverage after a mutex member) — the regex versions
+ordering justifications) and GUARDED-BY (field coverage after a mutex member) — the regex versions
 could not see token boundaries or class structure.
 
 Exit status 0 iff no findings. Run directly:  python3 tools/lint/check_invariants.py
@@ -67,11 +61,9 @@ SLEEP_ALLOWLIST = {"src/common/clock.h"}
 RAW_SYNC = re.compile(r"std::(mutex|shared_mutex|condition_variable\w*)\b")
 
 # The runtime lock-order checker must use a raw std::mutex internally:
-# instrumenting its own lock would recurse. Same for the model checker's
-# engine, whose scheduler is the thing the wrappers park on.
+# instrumenting its own lock would recurse.
 RAW_SYNC_ALLOWLIST = {"thread_annotations.h", "deadlock_detector.h",
-                      "deadlock_detector.cc", "model_check.h",
-                      "model_check.cc"}
+                      "deadlock_detector.cc"}
 
 # A Mutex/SharedMutex member or global declaration, with an optional TSA
 # ordering attribute and an optional brace initializer (which may span
@@ -79,14 +71,6 @@ RAW_SYNC_ALLOWLIST = {"thread_annotations.h", "deadlock_detector.h",
 MUTEX_DECL = re.compile(
     r"(?:mutable\s+)?(?:common::)?\b(?:Shared)?Mutex\s+(\w+)\s*"
     r"(?:ACQUIRED_(?:BEFORE|AFTER)\([^)]*\)\s*)?(\{[^}]*\})?\s*;")
-
-# The one place raw spin loops are legitimate: SnapshotPtr's lock bit,
-# held only for one shared_ptr refcount operation — plus the model
-# build's SpinWaitWhile shim, which routes the same spin to the checker.
-SPIN_ALLOWLIST = {
-    "src/common/snapshot_ptr.h",
-    "src/common/atomic_shim.h",
-}
 
 def find_repo_root(start: Path) -> Path:
     p = start.resolve()
@@ -210,46 +194,24 @@ class Linter:
 
     # --- spin loops ---------------------------------------------------------
     def check_spin_park(self):
-        """Raw busy-wait loops are confined to the snapshot slot header
-        (whose one spin is bounded by a refcount operation).
-        Heuristics: any std::this_thread::yield — the signature of a
-        spin-wait — and any empty-body `while (<atomic>.load...)`."""
+        """Raw busy-wait loops are banned in src/. Heuristics: any
+        std::this_thread::yield — the signature of a spin-wait — and any
+        empty-body `while (<atomic>.load...)`."""
         empty_spin = re.compile(r"while\s*\([^)]*\.load\([^)]*\)[^)]*\)\s*"
                                 r"(?:;|\{\s*\})\s*$")
         for path in sorted((self.root / "src").rglob("*")):
             if path.suffix not in (".h", ".cc"):
-                continue
-            if self.rel(path) in SPIN_ALLOWLIST:
                 continue
             for i, line in enumerate(path.read_text().splitlines(), 1):
                 code = re.sub(r"//.*", "", line)
                 if "std::this_thread::yield" in code:
                     self.fail("SPIN-PARK", f"{self.rel(path)}:{i}",
                               "raw spin loop (yield busy-wait): park on a "
-                              "CondVar instead — spin loops live only in "
-                              "common/snapshot_ptr.h")
+                              "CondVar instead")
                 elif empty_spin.search(code.strip()):
                     self.fail("SPIN-PARK", f"{self.rel(path)}:{i}",
                               "empty-body atomic busy-wait: park on a "
                               "CondVar instead")
-
-        # The rank exemption the spin allowlist leans on must be documented:
-        # README "Data plane" section names the header and says rank-exempt.
-        readme = (self.root / "README.md").read_text()
-        m = re.search(r"^## Data plane$(.*?)(?=^## )", readme,
-                      re.MULTILINE | re.DOTALL)
-        if not m:
-            self.fail("RANK-EXEMPT", "README.md",
-                      "no '## Data plane' section documenting "
-                      "SnapshotPtr's rank exemption")
-        else:
-            section = m.group(1)
-            if "rank-exempt" not in section or \
-                    "src/common/snapshot_ptr.h" not in section:
-                self.fail("RANK-EXEMPT", "README.md",
-                          "the 'Data plane' section must name "
-                          "src/common/snapshot_ptr.h and the word "
-                          "'rank-exempt' (keep the exemption documented)")
 
     # --- lock ranks ---------------------------------------------------------
     def check_lock_ranks(self):
@@ -362,8 +324,8 @@ class Linter:
 
     # MEM-ORDER and GUARDED-BY used to live here as regex heuristics.
     # Both moved to the AST-grade analyzer (tools/analyze/checks.py),
-    # which sees token boundaries, the common::Atomic kRelaxed shim, and
-    # real class structure; ctest runs it as analyze_src.
+    # which sees token boundaries and real class structure; ctest runs it
+    # as analyze_src.
 
 
 def main():
