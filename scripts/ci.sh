@@ -6,7 +6,7 @@
 #   default     cmake --preset default, build, full ctest
 #   analyze     Clang -Wthread-safety -Werror build + compile_fail negative
 #               tests (SKIP when clang++ is not installed)
-#   analyze-ast whole-program static analyzer (tools/analyze): lock graph,
+#   analyze-ast whole-program static analyzer (tools/analyze): GUARDED-BY,
 #               blocking-under-lock, hot-path allocation, MEM-ORDER, plus
 #               its fixture self-tests. Reads the source with its own
 #               token frontend, so it only SKIPs when python3 itself is
@@ -15,7 +15,8 @@
 #               `sanitizer`-labeled chaos soak)
 #   tsan-chaos  ThreadSanitizer build, concurrency-heavy suites
 #   deadlock    runtime lock-order checker ON (ASTERIX_DEADLOCK_DETECTOR),
-#               the full ctest suite
+#               the full ctest suite. The only stage that checks lock
+#               order against the rank table (src/common/lock_rank.h)
 #   clang-tidy  curated .clang-tidy baseline over src/ (SKIP when
 #               clang-tidy is not installed)
 #   lint        tools/lint/check_invariants.py

@@ -20,15 +20,15 @@
 // This enum is the one rank table: each enumerator's comment says what
 // its mutex protects. The README states the rule and points here.
 //
-// Three enforcement mechanisms consume this enum:
+// Two mechanisms consume this enum:
 //   * the debug runtime checker (common/deadlock_detector.h, compiled in
-//     under ASTERIX_DEADLOCK_DETECTOR) aborts with a witness report on any
-//     acquisition that does not strictly descend the hierarchy;
-//   * Clang Thread Safety Analysis ACQUIRED_BEFORE/ACQUIRED_AFTER
-//     annotations (the `analyze` preset adds -Wthread-safety-beta) check
-//     the declared intra-class orderings at compile time;
+//     under ASTERIX_DEADLOCK_DETECTOR, the `deadlock` preset) aborts with
+//     a witness report on any acquisition that does not strictly descend
+//     the hierarchy. It is the one lock-order oracle: the table orders
+//     every pair, so no list of allowed edges is kept beside it;
 //   * tools/lint/check_invariants.py (LOCK-RANK) requires every
-//     Mutex/SharedMutex construction in src/ to name a rank.
+//     Mutex/SharedMutex construction in src/ to name a rank, and every
+//     rank below the reserved band to be named by some code in src/.
 //
 // Adding a mutex? Pick the band of its layer, give it a value that
 // reflects where it sits in real acquisition chains (inner = lower),

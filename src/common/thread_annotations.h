@@ -73,8 +73,6 @@
 #define SCOPED_CAPABILITY ASTERIX_TSA_ATTR(scoped_lockable)
 #define GUARDED_BY(x) ASTERIX_TSA_ATTR(guarded_by(x))
 #define PT_GUARDED_BY(x) ASTERIX_TSA_ATTR(pt_guarded_by(x))
-#define ACQUIRED_BEFORE(...) ASTERIX_TSA_ATTR(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) ASTERIX_TSA_ATTR(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) ASTERIX_TSA_ATTR(requires_capability(__VA_ARGS__))
 #define REQUIRES_SHARED(...) \
   ASTERIX_TSA_ATTR(requires_shared_capability(__VA_ARGS__))

@@ -6,7 +6,7 @@ config.py so the checks stay pure graph algorithms.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import config
 from cpplex import ID, PUNCT, COMMENT
@@ -76,224 +76,10 @@ def _suffix_lookup(table, qname):
 
 
 # ==========================================================================
-# Mutex identity resolution
+# Check 1: GUARDED-BY
 # ==========================================================================
 
-class MutexIndex:
-    def __init__(self, program):
-        self.program = program
-        self.by_cls_name = {}
-        self.by_name = {}
-        for m in program.mutexes:
-            cls_last = m.cls.rsplit("::")[-1] if m.cls else ""
-            self.by_cls_name[(cls_last, m.name)] = m
-            self.by_name.setdefault(m.name, []).append(m)
-
-    def resolve(self, fn, expr):
-        """MutexDecl for an acquisition expression, or None."""
-        words = _WORD.findall(expr)
-        if not words:
-            return None
-        name = words[-1]
-        cls_last = fn.cls.rsplit("::")[-1] if fn.cls else ""
-        hit = self.by_cls_name.get((cls_last, name))
-        if hit:
-            return hit
-        # recv->member / recv.member through a (possibly smart-pointer)
-        # field of the enclosing class, e.g. `shared_->mutex` where
-        # shared_ is a shared_ptr<Shared>.
-        if len(words) >= 2 and fn.cls:
-            ftype = self.program.field_type(fn.cls, words[-2])
-            if ftype:
-                m = re.search(r"(?:shared_ptr|unique_ptr)\s*<\s*([\w:]+)",
-                              ftype)
-                tname = (m.group(1) if m else ftype).rsplit("::")[-1]
-                tname = tname.rstrip("*& ")
-                hit = self.by_cls_name.get((tname, name))
-                if hit:
-                    return hit
-        cands = self.by_name.get(name, [])
-        if len(cands) == 1:
-            return cands[0]
-        return None
-
-    def ranks_of(self, decl):
-        """Rank names of a declaration: its brace-initialized rank, or none
-        for an unranked mutex."""
-        return {decl.rank} if decl.rank else set()
-
-
-# ==========================================================================
-# Check 1: static lock graph (+ GUARDED-BY sub-check)
-# ==========================================================================
-
-def check_lock_graph(program, opts):
-    findings = []
-    mi = MutexIndex(program)
-    ranks = dict(program.ranks)
-
-    all_fns = [f for fns in program.functions.values() for f in fns]
-
-    def decl_key(decl):
-        return f"{decl.cls or decl.file}::{decl.name}"
-
-    # --- per-function direct acquisitions, resolved --------------------
-    direct = {}   # id(fn) -> [(acq, decl)]
-    unresolved = []
-    for fn in all_fns:
-        rows = []
-        for a in fn.acquisitions:
-            decl = mi.resolve(fn, a.mutex_expr)
-            if decl is None:
-                unresolved.append((fn, a))
-                continue
-            rows.append((a, decl))
-        direct[id(fn)] = rows
-
-    # --- transitive acquisition summaries (fixed point) ----------------
-    # summary: id(fn) -> {decl_key: (rank_name, decl, path_tuple, file, line)}
-    summary = {id(fn): {} for fn in all_fns}
-    for fn in all_fns:
-        s = summary[id(fn)]
-        for a, decl in direct[id(fn)]:
-            for rname in mi.ranks_of(decl):
-                s.setdefault((decl_key(decl), rname),
-                             (decl, (fn.qname,), fn.file, a.line))
-    changed = True
-    while changed:
-        changed = False
-        for fn in all_fns:
-            s = summary[id(fn)]
-            for c in fn.calls:
-                if c.deferred:
-                    continue
-                for g in program.resolve(fn, c, confident_only=True):
-                    if g is fn:
-                        continue
-                    for key, (decl, path, file, line) in \
-                            list(summary[id(g)].items()):
-                        if key not in s:
-                            s[key] = (decl, (fn.qname,) + path, file, line)
-                            changed = True
-
-    # --- edges ---------------------------------------------------------
-    # edge key: (outer_rank, inner_rank); value: example site
-    edges = {}
-
-    def add_edge(outer_rname, inner_rname, file, line, path):
-        edges.setdefault((outer_rname, inner_rname),
-                         {"file": file, "line": line, "path": path})
-
-    for fn in all_fns:
-        rows = direct[id(fn)]
-        for a, decl in rows:
-            held = _held_at(fn, a.tok)
-            for b in held:
-                bdecl = mi.resolve(fn, b.mutex_expr)
-                if bdecl is None or b is a:
-                    continue
-                if bdecl is decl:
-                    if b.mutex_expr == a.mutex_expr:
-                        findings.append(Finding(
-                            "LOCK-GRAPH", fn.file, a.line,
-                            f"self-deadlock: {fn.qname} re-acquires "
-                            f"'{a.mutex_expr}' already held at line "
-                            f"{b.line} (common::Mutex is non-reentrant)"))
-                        continue
-                for brank in mi.ranks_of(bdecl):
-                    for arank in mi.ranks_of(decl):
-                        add_edge(brank, arank, fn.file, a.line, (fn.qname,))
-        for c in fn.calls:
-            held = _held_at(fn, c.tok)
-            if not held or c.deferred:
-                continue
-            for g in program.resolve(fn, c, confident_only=True):
-                if g is fn:
-                    continue
-                for (key, rname), (decl, path, file, line) in \
-                        summary[id(g)].items():
-                    for b in held:
-                        bdecl = mi.resolve(fn, b.mutex_expr)
-                        if bdecl is None:
-                            continue
-                        if decl_key(bdecl) == key \
-                                and b.mutex_expr == bdecl.name:
-                            findings.append(Finding(
-                                "LOCK-GRAPH", fn.file, c.line,
-                                f"self-deadlock through calls: {fn.qname} "
-                                f"holds '{b.mutex_expr}' and the call to "
-                                f"{c.name}() re-acquires it",
-                                path=(fn.qname,) + path))
-                            continue
-                        for brank in mi.ranks_of(bdecl):
-                            add_edge(brank, rname, file, line,
-                                     (fn.qname,) + path)
-
-    # --- verify edges against the rank order ---------------------------
-    for (outer, inner), site in sorted(edges.items()):
-        ov, iv = ranks.get(outer), ranks.get(inner)
-        if ov is None or iv is None:
-            findings.append(Finding(
-                "LOCK-GRAPH", site["file"], site["line"],
-                f"edge {outer} -> {inner}: rank not declared in "
-                f"LockRank enum"))
-            continue
-        if iv >= ov:
-            findings.append(Finding(
-                "LOCK-GRAPH", site["file"], site["line"],
-                f"rank order violation: acquiring {inner} ({iv}) while "
-                f"holding {outer} ({ov}) — held locks must outrank new "
-                f"acquisitions strictly", path=site["path"]))
-
-    # --- ranks declared but never acquired ------------------------------
-    if opts.get("unused_ranks", True):
-        acquired = set()
-        for fn in all_fns:
-            for a, decl in direct[id(fn)]:
-                acquired |= mi.ranks_of(decl)
-        for rname in sorted(ranks):
-            if rname in acquired \
-                    or rname in config.UNACQUIRED_RANK_ALLOWLIST:
-                continue
-            findings.append(Finding(
-                "LOCK-GRAPH-UNUSED", opts.get("rank_file", ""), 1,
-                f"rank {rname} ({ranks[rname]}) is declared but no "
-                f"acquisition of it was found in the analyzed sources"))
-
-    # --- expected-edge lockstep -----------------------------------------
-    expected = opts.get("expected_edges")
-    if expected is not None:
-        found_pairs = set(edges)
-        for pair in sorted(found_pairs - expected):
-            site = edges[pair]
-            findings.append(Finding(
-                "LOCK-GRAPH-EDGES", site["file"], site["line"],
-                f"unexplained edge {pair[0]} -> {pair[1]}: not listed in "
-                f"expected_lock_edges.txt (add it with a reason, or fix "
-                f"the nesting)", path=site["path"]))
-        for pair in sorted(expected - found_pairs):
-            findings.append(Finding(
-                "LOCK-GRAPH-EDGES", opts.get("edges_path", ""), 1,
-                f"stale expectation {pair[0]} -> {pair[1]}: listed in "
-                f"expected_lock_edges.txt but no longer found"))
-
-    findings.extend(_check_guarded_by(program, opts))
-
-    stats = {
-        "functions": len(all_fns),
-        "acquisitions": sum(len(v) for v in direct.values()),
-        "unresolved_acquisitions": [
-            {"function": fn.qname, "expr": a.mutex_expr, "file": fn.file,
-             "line": a.line} for fn, a in unresolved],
-        "edges": sorted([f"{o} -> {i}" for o, i in edges]),
-        "edge_sites": {f"{o} -> {i}": {
-            "file": edges[(o, i)]["file"], "line": edges[(o, i)]["line"],
-            "path": list(edges[(o, i)]["path"])} for o, i in edges},
-    }
-    return findings, stats
-
-
-def _check_guarded_by(program, opts):
+def check_guarded_by(program, opts):
     """Fields declared after a mutex member in a header class body must be
     GUARDED_BY-annotated, inherently synchronized, const, or carry a
     declaration comment (the documented single-writer opt-out)."""
@@ -329,7 +115,6 @@ def _check_guarded_by(program, opts):
 
 def check_blocking(program, opts):
     findings = []
-    mi = MutexIndex(program)
     all_fns = [f for fns in program.functions.values() for f in fns]
 
     def cv_waited_mutex(fn, call):
@@ -429,7 +214,7 @@ def check_blocking(program, opts):
                     f"{c.name}(), which can block in {op}() at "
                     f"{file}:{line}", path=(fn.qname,) + path))
                 break
-    return findings, {}
+    return findings
 
 
 # ==========================================================================
@@ -466,7 +251,7 @@ def check_hot_alloc(program, opts):
                           for fn in all_fns)]
     for r in missing:
         findings.append(Finding(
-            "HOT-ALLOC", opts.get("rank_file", ""), 1,
+            "HOT-ALLOC", config.__file__, 1,
             f"hot-path root '{r}' not found in the analyzed sources — "
             f"update config.HOT_ROOTS to track the rename"))
 
@@ -490,9 +275,6 @@ def check_hot_alloc(program, opts):
     comment_cache = {}
 
     def hot_ok(file, line):
-        if not opts.get("allowlists", True) and \
-                not opts.get("hot_ok_comments", True):
-            return False
         if file not in comment_cache:
             import ir
             comment_cache[file] = (
@@ -519,8 +301,9 @@ def check_hot_alloc(program, opts):
             findings.append(Finding(
                 "HOT-ALLOC", fn.file, ne.line,
                 f"`new {ne.what}` reachable from hot root "
-                f"{path[0]} — allocate through FramePool/MemPool or mark "
-                f"the branch `// hot-ok: <reason>`", path=path))
+                f"{path[0]} — charge it to a MemPool, pre-size it outside "
+                f"the fast path, or mark the branch `// hot-ok: <reason>`",
+                path=path))
         for c in fn.calls:
             if c.name not in config.GROWTH_CALLS or c.deferred:
                 continue
@@ -538,9 +321,7 @@ def check_hot_alloc(program, opts):
                 f"from hot root {path[0]} — pre-size, pool, or mark "
                 f"`// hot-ok: <reason>`", path=path))
 
-    stats = {"reachable": sorted(f.qname for f in all_fns
-                                 if id(f) in seen)}
-    return findings, stats
+    return findings
 
 
 # ==========================================================================
@@ -579,7 +360,7 @@ def check_mem_order(program, opts):
                     f"memory_order_relaxed {what} without a `relaxed:` "
                     f"justification comment (say why no ordering is "
                     f"needed, or use a stronger order)"))
-    return findings, {}
+    return findings
 
 
 def _attached_op(code, i):

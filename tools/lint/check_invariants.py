@@ -22,7 +22,9 @@ Checks, each with a stable ID used in failure output:
               and the deadlock detector (which cannot instrument itself),
               so every lock is an annotated common::Mutex
   LOCK-RANK   every common::Mutex/SharedMutex construction in src/ names
-              a LockRank in its brace initializer
+              a LockRank in its brace initializer, and every LockRank
+              enumerator below the reserved band (900+) is named by some
+              LockRank::k... in src/ — a rank nothing acquires is dead
   SPIN-PARK   no raw atomic spin loops anywhere in src/:
               std::this_thread::yield and empty-body `while (x.load())`
               busy-waits are banned — waiters must park on a CondVar,
@@ -65,12 +67,18 @@ RAW_SYNC = re.compile(r"std::(mutex|shared_mutex|condition_variable\w*)\b")
 RAW_SYNC_ALLOWLIST = {"thread_annotations.h", "deadlock_detector.h",
                       "deadlock_detector.cc"}
 
-# A Mutex/SharedMutex member or global declaration, with an optional TSA
-# ordering attribute and an optional brace initializer (which may span
-# lines — [^}] matches newlines inside a character class).
+# A Mutex/SharedMutex member or global declaration, with an optional
+# brace initializer (which may span lines — [^}] matches newlines inside a
+# character class).
 MUTEX_DECL = re.compile(
     r"(?:mutable\s+)?(?:common::)?\b(?:Shared)?Mutex\s+(\w+)\s*"
-    r"(?:ACQUIRED_(?:BEFORE|AFTER)\([^)]*\)\s*)?(\{[^}]*\})?\s*;")
+    r"(\{[^}]*\})?\s*;")
+
+# LockRank enumerators, one `kWal = 210,` per line of lock_rank.h; values
+# from RESERVED_RANK_FLOOR up belong to tests and the opt-out.
+RANK_ENUMERATOR = re.compile(r"^\s*(k\w+)\s*=\s*(\d+)", re.M)
+RANK_USE = re.compile(r"LockRank::(k\w+)")
+RESERVED_RANK_FLOOR = 900
 
 def find_repo_root(start: Path) -> Path:
     p = start.resolve()
@@ -216,14 +224,18 @@ class Linter:
     # --- lock ranks ---------------------------------------------------------
     def check_lock_ranks(self):
         """Every Mutex/SharedMutex construction in src/ must name its
-        LockRank inline."""
+        LockRank inline, and every non-reserved rank must be named by
+        code outside the rank table and LockRankName()."""
+        named = set()
         for path in sorted((self.root / "src").rglob("*")):
             if path.suffix not in (".h", ".cc"):
                 continue
-            if path.name in ("thread_annotations.h", "lock_rank.h",
-                             "deadlock_detector.h", "deadlock_detector.cc"):
+            if path.name in ("lock_rank.h", "deadlock_detector.cc"):
                 continue
             text = path.read_text()
+            named.update(RANK_USE.findall(re.sub(r"//[^\n]*", "", text)))
+            if path.name in ("thread_annotations.h", "deadlock_detector.h"):
+                continue
             for m in MUTEX_DECL.finditer(text):
                 init = m.group(2) or ""
                 if "LockRank" in init:
@@ -233,6 +245,23 @@ class Linter:
                     "LOCK-RANK", f"{self.rel(path)}:{line_no}",
                     f"mutex '{m.group(1)}' constructed without a LockRank "
                     "(brace-initialize with common::LockRank::k...)")
+
+        table = self.root / "src/common/lock_rank.h"
+        text = table.read_text()
+        enumerators = RANK_ENUMERATOR.findall(text)
+        if not enumerators:
+            self.fail("LOCK-RANK", self.rel(table),
+                      "could not parse the LockRank enumerators (did the "
+                      "enum's form change? update this check)")
+        for name, value in enumerators:
+            if int(value) >= RESERVED_RANK_FLOOR or name in named:
+                continue
+            line_no = text.count("\n", 0, text.index(f" {name} =")) + 1
+            self.fail(
+                "LOCK-RANK", f"{self.rel(table)}:{line_no}",
+                f"rank {name} ({value}) is declared but no code in src/ "
+                "names it; delete the enumerator or rank the mutex it was "
+                "meant for")
 
     # --- memory pools --------------------------------------------------------
     def check_mem_pools(self):
