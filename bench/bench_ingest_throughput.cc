@@ -3,15 +3,13 @@
 // concurrent writers insert pre-generated records into a
 // PartitionedLsmIndex configured with small memtables so flush/merge work
 // dominates, exactly the regime where a single global-lock LSM stalls.
-// Two effects are measured:
-//   1. partitioning: each partition holds 1/P of the data, so the total
-//      merge work drops ~P-fold (merges re-read the whole partition), and
-//      writers stop contending on one mutex;
-//   2. async maintenance: Insert never blocks on a flush or merge (the
-//      sync row reproduces the pre-optimization write path for contrast;
-//      its insert_stall_ms shows the stop-the-world compactions).
-// Reported records/s include draining the maintenance backlog, so deferred
-// work cannot inflate the figure. Results go to BENCH_ingest.json.
+// Each partition holds 1/P of the data, so the total merge work drops
+// ~P-fold (merges re-read the whole partition), and writers stop
+// contending on one mutex. Flush and merge run on each partition's
+// background maintenance thread, the only LSM write path: Insert only
+// seals a full memtable. Reported records/s include draining the
+// maintenance backlog, so deferred work cannot inflate the figure.
+// Results go to BENCH_ingest.json.
 //
 // A second section measures the hot frame path's allocation cost: records
 // pumped appender -> subscriber queue -> batched drain, with and without
@@ -54,21 +52,18 @@ constexpr int kWriterThreads = 4;
 
 struct RunResult {
   size_t partitions = 0;
-  bool async = true;
   double insert_secs = 0;   // all Insert calls returned
   double total_secs = 0;    // ... and the maintenance backlog drained
   double records_per_sec = 0;
   LsmStats stats;
 };
 
-RunResult RunOnce(size_t partitions, bool async,
-                  const std::vector<std::string>& keys,
+RunResult RunOnce(size_t partitions, const std::vector<std::string>& keys,
                   const std::string& payload) {
   LsmOptions options;
   options.memtable_bytes_limit = kMemtableBytes;
   options.max_runs = kMaxRuns;
   options.partitions = partitions;
-  options.async_maintenance = async;
   PartitionedLsmIndex index(options);
 
   const size_t n = keys.size();
@@ -88,7 +83,6 @@ RunResult RunOnce(size_t partitions, bool async,
 
   RunResult result;
   result.partitions = partitions;
-  result.async = async;
   result.insert_secs = insert_secs;
   result.total_secs = total_secs;
   result.records_per_sec = static_cast<double>(n) / total_secs;
@@ -189,27 +183,23 @@ int Main(int argc, char** argv) {
   std::string payload(64, 'x');
 
   // Warm-up pass so allocator state does not favor the first config.
-  RunOnce(1, true, keys, payload);
+  RunOnce(1, keys, payload);
 
   std::vector<RunResult> results;
-  results.push_back(RunOnce(1, false, keys, payload));  // sync baseline
   for (size_t partitions : {1, 2, 4, 8}) {
-    results.push_back(RunOnce(partitions, true, keys, payload));
+    results.push_back(RunOnce(partitions, keys, payload));
   }
 
-  std::printf("\n%-6s %-5s %12s %12s %14s %8s %7s %10s\n", "parts", "mode",
-              "insert_s", "total_s", "records/s", "flushes", "merges",
-              "stall_ms");
+  std::printf("\n%-6s %12s %12s %14s %8s %7s\n", "parts", "insert_s",
+              "total_s", "records/s", "flushes", "merges");
   double rate_1p = 0, rate_4p = 0;
   for (const RunResult& r : results) {
-    std::printf("%-6zu %-5s %12.3f %12.3f %14.0f %8lld %7lld %10lld\n",
-                r.partitions, r.async ? "async" : "sync", r.insert_secs,
-                r.total_secs, r.records_per_sec,
+    std::printf("%-6zu %12.3f %12.3f %14.0f %8lld %7lld\n", r.partitions,
+                r.insert_secs, r.total_secs, r.records_per_sec,
                 static_cast<long long>(r.stats.flushes),
-                static_cast<long long>(r.stats.merges),
-                static_cast<long long>(r.stats.insert_stall_ms));
-    if (r.async && r.partitions == 1) rate_1p = r.records_per_sec;
-    if (r.async && r.partitions == 4) rate_4p = r.records_per_sec;
+                static_cast<long long>(r.stats.merges));
+    if (r.partitions == 1) rate_1p = r.records_per_sec;
+    if (r.partitions == 4) rate_4p = r.records_per_sec;
   }
   double speedup = rate_1p > 0 ? rate_4p / rate_1p : 0;
   std::printf("\nspeedup 4 partitions vs 1: %.2fx\n", speedup);
@@ -277,15 +267,12 @@ int Main(int argc, char** argv) {
     const RunResult& r = results[i];
     std::fprintf(
         out,
-        "    {\"partitions\": %zu, \"mode\": \"%s\", "
-        "\"insert_secs\": %.6f, \"total_secs\": %.6f, "
-        "\"records_per_sec\": %.1f, \"flushes\": %lld, \"merges\": %lld, "
-        "\"insert_stall_ms\": %lld}%s\n",
-        r.partitions, r.async ? "async" : "sync", r.insert_secs,
-        r.total_secs, r.records_per_sec,
+        "    {\"partitions\": %zu, \"insert_secs\": %.6f, "
+        "\"total_secs\": %.6f, \"records_per_sec\": %.1f, "
+        "\"flushes\": %lld, \"merges\": %lld}%s\n",
+        r.partitions, r.insert_secs, r.total_secs, r.records_per_sec,
         static_cast<long long>(r.stats.flushes),
         static_cast<long long>(r.stats.merges),
-        static_cast<long long>(r.stats.insert_stall_ms),
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"speedup_4p_vs_1p\": %.3f,\n", speedup);

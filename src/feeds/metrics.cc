@@ -22,16 +22,6 @@ ConnectionMetrics::ConnectionMetrics(const std::string& connection_id) {
   counter("feed_records_stored_total", &records_stored);
   counter("feed_soft_failures_total", &soft_failures);
   counter("feed_records_replayed_total", &records_replayed);
-  provider_handles_.push_back(registry.RegisterProvider(
-      "feed_store_flush_backlog", Kind::kGauge, labels, [this] {
-        // relaxed: metrics scrape of an export-only gauge.
-        return store_flush_backlog.load(std::memory_order_relaxed);
-      }));
-  provider_handles_.push_back(registry.RegisterProvider(
-      "feed_store_merge_backlog", Kind::kGauge, labels, [this] {
-        // relaxed: metrics scrape of an export-only gauge.
-        return store_merge_backlog.load(std::memory_order_relaxed);
-      }));
   // Lock order: the registry mutex is held while this provider runs, and
   // it takes the ConnectionMetrics mutex (IntakeQueues) then each queue's
   // mutex (pending_bytes). Pipeline code must therefore never call

@@ -74,10 +74,12 @@ class IntervalCounter {
 };
 
 /// Shared runtime metrics for one feed connection. Operators update the
-/// counters; the congestion monitor and the benches read them via
-/// MetricsRegistry::Snapshot() — constructing with a connection id
-/// publishes every field into the process-wide registry as a
-/// provider-backed metric labeled {connection=<id>}. The providers
+/// counters. Constructing with a connection id publishes each counter, and
+/// the intake queues' pending bytes, into the process-wide registry as a
+/// provider-backed metric labeled {connection=<id>}; the congestion
+/// monitor reads feed_intake_pending_bytes through
+/// MetricsRegistry::Snapshot(). In-process readers (the end-to-end
+/// benchmark's store poller) load the atomics directly. The providers
 /// unregister in the destructor, so a torn-down connection stops
 /// exporting.
 struct ConnectionMetrics {
@@ -93,14 +95,6 @@ struct ConnectionMetrics {
   std::atomic<int64_t> records_stored{0};
   std::atomic<int64_t> soft_failures{0};
   std::atomic<int64_t> records_replayed{0};  // at-least-once re-sends
-
-  // Storage maintenance backlog behind the store stage (gauges, sampled by
-  // the store operator): sealed memtables awaiting background flush and
-  // pending merges. Rising values mean persistence is falling behind the
-  // inflow without stalling it — the signal the congestion monitor watches
-  // instead of an insert-path stall.
-  std::atomic<int64_t> store_flush_backlog{0};
-  std::atomic<int64_t> store_merge_backlog{0};
 
   /// Instantaneous persisted-records throughput.
   IntervalCounter store_timeline{250};

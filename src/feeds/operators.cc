@@ -551,14 +551,6 @@ Status FeedStoreOperator::ProcessFrame(const FramePtr& frame,
   if (acks_ != nullptr && frame->tracked()) {
     acks_->OnPersisted(frame->tracking_ids());
   }
-  // relaxed: export-only backlog gauges; the scraper tolerates a stale
-  // point-in-time value and no control flow reads them back.
-  pipeline_.metrics->store_flush_backlog.store(
-      static_cast<int64_t>(partition_->primary().flush_backlog()),
-      std::memory_order_relaxed);
-  pipeline_.metrics->store_merge_backlog.store(
-      static_cast<int64_t>(partition_->primary().merge_backlog()),
-      std::memory_order_relaxed);
   if (frame->trace().sampled()) {
     // End of the line for this trace: trace birth -> durably inserted.
     e2e_latency_->Record(common::NowMicros() - frame->trace().start_us);

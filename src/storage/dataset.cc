@@ -20,8 +20,7 @@ DatasetPartition::DatasetPartition(DatasetDef def, int partition_id,
       types_(types),
       wal_(dir + "/" + def_.name + ".p" + std::to_string(partition_id) +
                ".wal",
-           def_.durable_writes),
-      primary_(def_.lsm) {
+           def_.durable_writes) {
   for (const IndexDef& index : def_.indexes) {
     secondaries_.push_back(
         MakeSecondaryIndex(index.kind, index.name, index.field));

@@ -45,9 +45,6 @@ struct DatasetDef {
   /// record of that frame is acked (durability knob). This is fflush to
   /// the OS, not fsync.
   bool durable_writes = false;
-  /// Storage write-path knobs for this dataset's primary index (hash
-  /// partition count, memtable size, async maintenance).
-  LsmOptions lsm;
 };
 
 /// One node-local partition of a dataset.

@@ -54,13 +54,10 @@ LsmIndex::LsmIndex(LsmOptions options) : options_(options) {
   metric_flush_duration_us_ = reg.GetHistogram("lsm_flush_duration_us");
   metric_merge_duration_us_ = reg.GetHistogram("lsm_merge_duration_us");
   metric_flush_backlog_ = reg.GetGauge("lsm_flush_backlog");
-  if (options_.async_maintenance) {
-    maintenance_running_ = true;
-    maintenance_ = std::thread([this] {
-      pthread_setname_np(pthread_self(), "lsm_maint");
-      MaintenanceMain();
-    });
-  }
+  maintenance_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "lsm_maint");
+    MaintenanceMain();
+  });
 }
 
 LsmIndex::~LsmIndex() {
@@ -70,11 +67,11 @@ LsmIndex::~LsmIndex() {
   common::MutexLock lock(mutex_);
   if (memtable_pool_ != nullptr) {
     size_t held = memtable_bytes_;
-    for (size_t bytes : immutable_bytes_) held += bytes;
+    for (const Sealed& sealed : immutables_) held += sealed.bytes;
     if (held > 0) memtable_pool_->Release(held);
   }
   memtable_bytes_ = 0;
-  immutable_bytes_.clear();
+  immutables_.clear();
 }
 
 std::shared_ptr<SortedRun> LsmIndex::BuildRun(const Memtable& memtable) {
@@ -103,50 +100,16 @@ std::shared_ptr<SortedRun> LsmIndex::MergeRuns(
 
 void LsmIndex::SealLocked() {
   if (memtable_.empty()) return;
+  // The sealed memtable keeps its governor charge until the flush that
+  // retires it releases exactly that.
   immutables_.push_back(
-      std::make_shared<const Memtable>(std::move(memtable_)));
-  // The sealed memtable keeps its governor charge; remember how much so
-  // the flush that retires it can release exactly that.
-  immutable_bytes_.push_back(memtable_bytes_);
+      {std::make_shared<const Memtable>(std::move(memtable_)),
+       memtable_bytes_});
   memtable_ = Memtable();
   memtable_bytes_ = 0;
   ++stats_.flushes;
   metric_flush_backlog_->Add(1);
   maintenance_cv_.NotifyOne();
-}
-
-void LsmIndex::FlushNowLocked() {
-  if (memtable_.empty()) return;
-  common::Stopwatch timer;
-  runs_.push_back(BuildRun(memtable_));
-  metric_flush_duration_us_->Record(timer.ElapsedMicros());
-  metric_flushes_->Add(1);
-  memtable_.clear();
-  // The bytes moved out of the governed write path into a run.
-  if (memtable_pool_ != nullptr && memtable_bytes_ > 0) {
-    memtable_pool_->Release(memtable_bytes_);
-  }
-  memtable_bytes_ = 0;
-  ++stats_.flushes;
-}
-
-void LsmIndex::MergeNowLocked() {
-  if (runs_.size() < 2) return;
-  // Full merge: the result is the only (hence oldest) run, so tombstones
-  // have shadowed everything they ever will.
-  size_t input_bytes = 0;
-  for (const auto& run : runs_) input_bytes += run->bytes();
-  if (merge_pool_ != nullptr && !merge_pool_->TryReserve(input_bytes).ok()) {
-    // Merges must proceed (a stalled merge only grows the next one):
-    // overdraw the pool instead of erroring; the overdraft is counted.
-    merge_pool_->ForceReserve(input_bytes);
-  }
-  common::Stopwatch timer;
-  runs_ = {MergeRuns(runs_, /*drop_tombstones=*/true)};
-  metric_merge_duration_us_->Record(timer.ElapsedMicros());
-  metric_merges_->Add(1);
-  ++stats_.merges;
-  if (merge_pool_ != nullptr) merge_pool_->Release(input_bytes);
 }
 
 Status LsmIndex::Insert(const std::string& key, adm::Value value) {
@@ -173,28 +136,15 @@ Status LsmIndex::InsertRows(std::span<const std::string> keys,
     if (!reserved.ok()) return reserved;
   }
   common::MutexLock lock(mutex_);
-  if (options_.async_maintenance && options_.max_immutable_memtables > 0 &&
-      immutables_.size() >= options_.max_immutable_memtables && !stop_) {
-    common::Stopwatch stall;
-    drained_cv_.Wait(mutex_, [this]() REQUIRES(mutex_) {
-      return stop_ ||
-             immutables_.size() < options_.max_immutable_memtables;
-    });
-    stats_.insert_stall_ms += stall.ElapsedMillis();
+  if (stop_) {
+    // No thread is left to flush what this write would seal.
+    if (memtable_pool_ != nullptr) memtable_pool_->Release(bytes);
+    return Status::FailedPrecondition("LSM index is closed");
   }
   for (uint32_t r : rows) memtable_[keys[r]].assign(payloads[r]);
   memtable_bytes_ += bytes;
   stats_.inserts += static_cast<int64_t>(rows.size());
-  if (memtable_bytes_ >= options_.memtable_bytes_limit) {
-    if (options_.async_maintenance && maintenance_running_) {
-      SealLocked();
-    } else {
-      common::Stopwatch stall;
-      FlushNowLocked();
-      if (MergePendingLocked()) MergeNowLocked();
-      stats_.insert_stall_ms += stall.ElapsedMillis();
-    }
-  }
+  if (memtable_bytes_ >= options_.memtable_bytes_limit) SealLocked();
   return Status::OK();
 }
 
@@ -213,7 +163,7 @@ std::optional<adm::Value> LsmIndex::Get(const std::string& key) const {
   // The decode runs after the lock is released: a memtable hit copies its
   // payload out, the snapshotted components stay alive on their own.
   std::string memtable_hit;
-  std::deque<std::shared_ptr<const Memtable>> immutables;
+  std::deque<Sealed> immutables;
   std::vector<std::shared_ptr<SortedRun>> runs;
   {
     common::MutexLock lock(mutex_);
@@ -228,8 +178,8 @@ std::optional<adm::Value> LsmIndex::Get(const std::string& key) const {
   }
   if (!memtable_hit.empty()) return DecodeStored(memtable_hit);
   for (auto rit = immutables.rbegin(); rit != immutables.rend(); ++rit) {
-    auto it = (*rit)->find(key);
-    if (it != (*rit)->end()) {
+    auto it = rit->memtable->find(key);
+    if (it != rit->memtable->end()) {
       if (IsTombstone(it->second)) return std::nullopt;
       return DecodeStored(it->second);
     }
@@ -257,7 +207,7 @@ void LsmIndex::ScanPayloads(
     const {
   // Snapshot components under the lock, then merge outside it.
   Memtable memtable_copy;
-  std::deque<std::shared_ptr<const Memtable>> immutables;
+  std::deque<Sealed> immutables;
   std::vector<std::shared_ptr<SortedRun>> runs;
   {
     common::MutexLock lock(mutex_);
@@ -275,8 +225,8 @@ void LsmIndex::ScanPayloads(
   for (const auto& run : runs) {
     for (const auto& [k, payload] : run->entries()) apply(k, payload);
   }
-  for (const auto& imm : immutables) {
-    for (const auto& [k, payload] : *imm) apply(k, payload);
+  for (const Sealed& imm : immutables) {
+    for (const auto& [k, payload] : *imm.memtable) apply(k, payload);
   }
   for (const auto& [k, payload] : memtable_copy) apply(k, payload);
   for (const auto& [k, entry] : merged) {
@@ -287,7 +237,7 @@ void LsmIndex::ScanPayloads(
 
 int64_t LsmIndex::Size() const {
   std::vector<std::pair<std::string, bool>> memtable_keys;
-  std::deque<std::shared_ptr<const Memtable>> immutables;
+  std::deque<Sealed> immutables;
   std::vector<std::shared_ptr<SortedRun>> runs;
   {
     common::MutexLock lock(mutex_);
@@ -304,8 +254,8 @@ int64_t LsmIndex::Size() const {
   for (const auto& run : runs) {
     for (const auto& [k, v] : run->entries()) live[k] = !IsTombstone(v);
   }
-  for (const auto& imm : immutables) {
-    for (const auto& [k, v] : *imm) live[k] = !IsTombstone(v);
+  for (const Sealed& imm : immutables) {
+    for (const auto& [k, v] : *imm.memtable) live[k] = !IsTombstone(v);
   }
   for (const auto& [k, dead] : memtable_keys) live[k] = !dead;
   int64_t count = 0;
@@ -316,21 +266,18 @@ int64_t LsmIndex::Size() const {
 void LsmIndex::Flush() {
   {
     common::MutexLock lock(mutex_);
-    if (options_.async_maintenance && maintenance_running_) {
-      SealLocked();
-    } else {
-      FlushNowLocked();
-      return;
-    }
+    if (stop_) return;
+    SealLocked();
   }
   Drain();
 }
 
 void LsmIndex::Drain() {
+  // The maintenance thread empties the backlog before it exits on stop_,
+  // and nothing is sealed after that, so this wait ends after Close() too.
   common::MutexLock lock(mutex_);
   drained_cv_.Wait(mutex_, [this]() REQUIRES(mutex_) {
-    return !maintenance_running_ ||
-           (immutables_.empty() && !MergePendingLocked());
+    return immutables_.empty() && !MergePendingLocked();
   });
 }
 
@@ -339,7 +286,6 @@ void LsmIndex::Close() {
     common::MutexLock lock(mutex_);
     stop_ = true;
     maintenance_cv_.NotifyAll();
-    drained_cv_.NotifyAll();
   }
   if (maintenance_.joinable()) maintenance_.join();
 }
@@ -354,8 +300,8 @@ void LsmIndex::MaintenanceMain() {
       // Merge before flushing the next memtable so run counts honor
       // max_runs even under a flush backlog — otherwise hundreds of runs
       // pile up and collapse in one degenerate end-of-stream merge. Only
-      // this thread mutates runs_ in async mode, so the snapshot prefix
-      // is stable while the merge runs off-lock.
+      // this thread mutates runs_, so the snapshot prefix is stable while
+      // the merge runs off-lock.
       std::vector<std::shared_ptr<SortedRun>> to_merge = runs_;
       mutex_.Unlock();
       // Delay action = a long-running merge holding the backlog up.
@@ -395,7 +341,7 @@ void LsmIndex::MaintenanceMain() {
       // Flush the oldest sealed memtable. The memtable stays visible to
       // readers (newer than every run) while the run is built off-lock;
       // the swap is a single atomic step under the lock.
-      std::shared_ptr<const Memtable> imm = immutables_.front();
+      std::shared_ptr<const Memtable> imm = immutables_.front().memtable;
       mutex_.Unlock();
       // Delay action = a slow flush (grows the sealed-memtable backlog,
       // the window where a crash strands unflushed data behind the WAL).
@@ -406,11 +352,11 @@ void LsmIndex::MaintenanceMain() {
       metric_flushes_->Add(1);
       mutex_.Lock();
       runs_.push_back(std::move(run));
+      const size_t bytes = immutables_.front().bytes;
       immutables_.pop_front();
-      if (memtable_pool_ != nullptr && immutable_bytes_.front() > 0) {
-        memtable_pool_->Release(immutable_bytes_.front());
+      if (memtable_pool_ != nullptr && bytes > 0) {
+        memtable_pool_->Release(bytes);
       }
-      immutable_bytes_.pop_front();
       metric_flush_backlog_->Add(-1);
       drained_cv_.NotifyAll();
       // Free the flushed memtable off-lock, as the merged runs above.
@@ -421,8 +367,6 @@ void LsmIndex::MaintenanceMain() {
     }
     if (stop_) break;
   }
-  maintenance_running_ = false;
-  drained_cv_.NotifyAll();
   mutex_.Unlock();
 }
 
@@ -441,16 +385,6 @@ LsmStats LsmIndex::stats() const {
 size_t LsmIndex::run_count() const {
   common::MutexLock lock(mutex_);
   return runs_.size();
-}
-
-size_t LsmIndex::flush_backlog() const {
-  common::MutexLock lock(mutex_);
-  return immutables_.size();
-}
-
-size_t LsmIndex::merge_backlog() const {
-  common::MutexLock lock(mutex_);
-  return MergePendingLocked() ? 1 : 0;
 }
 
 PartitionedLsmIndex::PartitionedLsmIndex(LsmOptions options) {
@@ -567,28 +501,9 @@ LsmStats PartitionedLsmIndex::stats() const {
     total.flushes += s.flushes;
     total.merges += s.merges;
     total.live_keys += s.live_keys;
-    total.insert_stall_ms += s.insert_stall_ms;
     total.flush_backlog += s.flush_backlog;
     total.merge_backlog += s.merge_backlog;
   }
-  return total;
-}
-
-size_t PartitionedLsmIndex::run_count() const {
-  size_t total = 0;
-  for (const auto& p : partitions_) total += p->run_count();
-  return total;
-}
-
-size_t PartitionedLsmIndex::flush_backlog() const {
-  size_t total = 0;
-  for (const auto& p : partitions_) total += p->flush_backlog();
-  return total;
-}
-
-size_t PartitionedLsmIndex::merge_backlog() const {
-  size_t total = 0;
-  for (const auto& p : partitions_) total += p->merge_backlog();
   return total;
 }
 

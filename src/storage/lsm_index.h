@@ -62,27 +62,21 @@ class SortedRun {
 };
 
 struct LsmOptions {
-  /// Memtable seal threshold (key, payload and kRowOverheadBytes per
-  /// row).
+  /// Seal threshold for the active memtable, in charged bytes (key,
+  /// payload and kRowOverheadBytes per row). Insert seals a full memtable
+  /// and hands it to the background maintenance thread.
   size_t memtable_bytes_limit = 4 << 20;
-  /// Merge all runs into one when the run count reaches this.
+  /// The maintenance thread merges all runs into one when the run count
+  /// reaches this.
   size_t max_runs = 8;
-  /// Run flush/merge on a per-index background thread; Insert only seals
-  /// the full memtable and enqueues it (never blocks on a merge). When
-  /// false, flush and merge run synchronously on the insert path (the
-  /// pre-optimization behavior, kept for ablation benches).
-  bool async_maintenance = true;
-  /// Backpressure: Insert waits while this many sealed memtables await
-  /// flushing. 0 = unbounded, Insert never stalls (waits are recorded in
-  /// stats().insert_stall_ms either way).
-  size_t max_immutable_memtables = 0;
   /// PartitionedLsmIndex: number of hash partitions. 0 = hardware
   /// concurrency.
   size_t partitions = 0;
   /// Governor pool charged for resident write memory (active + sealed
-  /// memtables). Null resolves to MemGovernor::Default()'s "memtable"
-  /// pool; an exhausted pool fails Insert with ResourceExhausted (the
-  /// at-least-once protocol retries it).
+  /// memtables, each until its run lands). Null resolves to
+  /// MemGovernor::Default()'s "memtable" pool. This pool is what bounds
+  /// the sealed memtables awaiting flush: an exhausted pool fails Insert
+  /// with ResourceExhausted (the at-least-once protocol retries it).
   common::MemPool* memtable_pool = nullptr;
   /// Governor pool charged for merge working memory (the input runs'
   /// bytes while a merge is in flight). Null resolves to the default
@@ -93,14 +87,12 @@ struct LsmOptions {
 
 struct LsmStats {
   int64_t inserts = 0;
-  /// Memtables sealed for flushing (counted at seal time, so the figure is
-  /// deterministic whether maintenance has caught up or not).
+  /// Memtables sealed for flushing, counted at seal time so the figure
+  /// does not depend on whether maintenance has caught up. The registry's
+  /// lsm_flushes_total counts completed runs instead.
   int64_t flushes = 0;
   int64_t merges = 0;
   int64_t live_keys = 0;
-  /// Total milliseconds Insert spent blocked on storage maintenance
-  /// (inline flush/merge in sync mode, backpressure waits in async mode).
-  int64_t insert_stall_ms = 0;
   /// Gauges sampled when stats() is called.
   int64_t flush_backlog = 0;  // sealed memtables awaiting background flush
   int64_t merge_backlog = 0;  // 1 when a merge is pending/overdue
@@ -126,7 +118,8 @@ class LsmIndex {
   /// every r in `rows`, in order, with one governor admission and one hold
   /// of the mutex. Each row is charged its key and payload bytes plus
   /// kRowOverheadBytes. Fails before any mutation (admission or an
-  /// injected fault on any row).
+  /// injected fault on any row); fails with FailedPrecondition after
+  /// Close().
   [[nodiscard]] common::Status InsertRows(
       std::span<const std::string> keys,
       std::span<const std::string_view> payloads,
@@ -155,36 +148,36 @@ class LsmIndex {
                                              std::string_view)>& visitor)
       const;
 
-  /// Number of live (distinct) keys. Computed on demand from a component
-  /// snapshot (the insert path no longer probes runs for key existence).
+  /// Number of live (distinct) keys, computed from a component snapshot.
   int64_t Size() const;
 
   /// Seals the current memtable and waits until it reaches a run (used by
-  /// tests and shutdown paths).
+  /// tests and shutdown paths). No-op after Close().
   void Flush();
 
   /// Blocks until the background maintenance backlog is empty (all sealed
-  /// memtables flushed, no merge pending). No-op in sync mode.
+  /// memtables flushed, no merge pending).
   void Drain();
 
-  /// Drains pending maintenance work and stops the background thread.
-  /// Idempotent; called by the destructor.
+  /// Drains pending maintenance work and stops the background thread;
+  /// later writes fail. Idempotent; called by the destructor.
   void Close();
 
   LsmStats stats() const;
   size_t run_count() const;
-  /// Cheap gauges for metrics sampling on hot paths.
-  size_t flush_backlog() const;
-  size_t merge_backlog() const;
 
  private:
   using Memtable = std::map<std::string, std::string>;
 
+  /// A memtable sealed for flushing and the governor charge it holds
+  /// until its run lands.
+  struct Sealed {
+    std::shared_ptr<const Memtable> memtable;
+    size_t bytes = 0;
+  };
+
   /// Moves the active memtable onto the sealed queue. Caller holds mutex_.
   void SealLocked() REQUIRES(mutex_);
-  /// Sync mode: memtable -> run and merge inline. Caller holds mutex_.
-  void FlushNowLocked() REQUIRES(mutex_);
-  void MergeNowLocked() REQUIRES(mutex_);
   bool MergePendingLocked() const REQUIRES(mutex_) {
     return runs_.size() >= options_.max_runs && runs_.size() >= 2;
   }
@@ -200,20 +193,15 @@ class LsmIndex {
   const LsmOptions options_;
   mutable common::Mutex mutex_{common::LockRank::kLsmIndex};
   common::CondVar maintenance_cv_;  // wakes the maintenance thread
-  common::CondVar drained_cv_;      // wakes Drain()/stalled inserts
+  common::CondVar drained_cv_;      // wakes Drain()
   Memtable memtable_ GUARDED_BY(mutex_);
   size_t memtable_bytes_ GUARDED_BY(mutex_) = 0;
   /// Sealed memtables awaiting background flush, oldest first.
-  std::deque<std::shared_ptr<const Memtable>> immutables_ GUARDED_BY(mutex_);
-  /// Byte sizes parallel to immutables_ (each element is the governor
-  /// charge the sealed memtable still holds; released when its run
-  /// lands). Mutated in lockstep with immutables_.
-  std::deque<size_t> immutable_bytes_ GUARDED_BY(mutex_);
+  std::deque<Sealed> immutables_ GUARDED_BY(mutex_);
   /// Newest run last.
   std::vector<std::shared_ptr<SortedRun>> runs_ GUARDED_BY(mutex_);
   LsmStats stats_ GUARDED_BY(mutex_);
-  bool stop_ GUARDED_BY(mutex_) = false;
-  bool maintenance_running_ GUARDED_BY(mutex_) = false;
+  bool stop_ GUARDED_BY(mutex_) = false;  // set by Close()
   std::thread maintenance_;  // started in the ctor, joined in Close()
   // Resolved governor pools (options_ pools or the Default() governor's
   // standard pools). Reserve/Release take the pool's leaf mutex
@@ -264,9 +252,6 @@ class PartitionedLsmIndex {
 
   /// Aggregated over partitions (keys are disjoint, so sums are exact).
   LsmStats stats() const;
-  size_t run_count() const;
-  size_t flush_backlog() const;
-  size_t merge_backlog() const;
 
   size_t partition_count() const { return partitions_.size(); }
   LsmIndex& partition(size_t i) { return *partitions_[i]; }

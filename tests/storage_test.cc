@@ -361,10 +361,18 @@ TEST(LsmTest, GetAndScanReturnTheInsertedValues) {
 // value in every older run, through flushes, and a full merge retires it.
 TEST(LsmTest, TombstoneShadowsOlderRuns) {
   LsmOptions options;
-  options.max_runs = 100;  // no merge until asked for below
+  options.max_runs = 3;  // no merge until the third run below
   LsmIndex index(options);
   const std::string gone = EncodeKey(Value::Int64(1)).value();
   const std::string kept = EncodeKey(Value::Int64(2)).value();
+  const std::string other = EncodeKey(Value::Int64(3)).value();
+  auto scan_keys = [&index] {
+    std::vector<std::string> keys;
+    index.Scan([&](const std::string& key, const Value&) {
+      keys.push_back(key);
+    });
+    return keys;
+  };
   ASSERT_TRUE(index.Insert(gone, Value::String("old")).ok());
   ASSERT_TRUE(index.Insert(kept, Value::String("kept")).ok());
   index.Flush();  // both now live in a run
@@ -372,13 +380,21 @@ TEST(LsmTest, TombstoneShadowsOlderRuns) {
   EXPECT_FALSE(index.Get(gone).has_value());  // memtable tombstone
   index.Flush();
   EXPECT_EQ(index.run_count(), 2u);
+  EXPECT_EQ(index.stats().merges, 0);
   EXPECT_FALSE(index.Get(gone).has_value());  // tombstone run shadows
   EXPECT_EQ(index.Size(), 1);
-  std::vector<std::string> scanned;
-  index.Scan([&](const std::string& key, const Value&) {
-    scanned.push_back(key);
-  });
-  EXPECT_EQ(scanned, std::vector<std::string>{kept});
+  EXPECT_EQ(scan_keys(), std::vector<std::string>{kept});
+  // A third run makes the maintenance thread merge all three into one,
+  // the oldest run, where the tombstone is dropped. Flush waits for the
+  // merge as well as the flush.
+  ASSERT_TRUE(index.Insert(other, Value::String("other")).ok());
+  index.Flush();
+  EXPECT_GT(index.stats().merges, 0);
+  EXPECT_EQ(index.run_count(), 1u);
+  EXPECT_FALSE(index.Get(gone).has_value());
+  EXPECT_EQ(index.Get(kept)->AsString(), "kept");
+  EXPECT_EQ(index.Size(), 2);
+  EXPECT_EQ(scan_keys(), (std::vector<std::string>{kept, other}));
   ASSERT_TRUE(index.Insert(gone, Value::String("new")).ok());
   EXPECT_EQ(index.Get(gone)->AsString(), "new");  // re-insert revives
   EXPECT_EQ(index.Get(kept)->AsString(), "kept");
@@ -775,8 +791,6 @@ TEST(LsmConcurrencyTest, EightWritersWithConcurrentReaders) {
   EXPECT_EQ(index.Size(), kThreads * kKeysPerThread);  // no lost keys
   EXPECT_GT(stats.flushes, 0);
   EXPECT_GT(stats.merges, 0);
-  // The insert path never blocked on a flush or merge.
-  EXPECT_EQ(stats.insert_stall_ms, 0);
   for (int64_t k = 0; k < kThreads * kKeysPerThread; ++k) {
     auto key = EncodeKey(Value::Int64(k)).value();
     auto got = index.Get(key);
@@ -798,7 +812,9 @@ TEST(LsmConcurrencyTest, CloseDrainsPendingWorkDeterministically) {
   // Close without an explicit Drain: every sealed memtable must still
   // reach a run before shutdown completes.
   index.Close();
-  EXPECT_EQ(index.flush_backlog(), 0u);
+  const LsmStats stats = index.stats();
+  EXPECT_EQ(stats.flush_backlog, 0);
+  EXPECT_EQ(stats.merge_backlog, 0);
   EXPECT_GT(index.run_count(), 0u);
   EXPECT_EQ(index.Size(), kRecords);
   for (int i = 0; i < kRecords; i += 17) {
@@ -807,20 +823,76 @@ TEST(LsmConcurrencyTest, CloseDrainsPendingWorkDeterministically) {
   }
 }
 
-TEST(LsmConcurrencyTest, BoundedImmutablesRecordStallTime) {
+// The process-wide lsm_flush_backlog gauge (+1 at seal, -1 when the run
+// lands) is the one export of the maintenance backlog: it returns to its
+// starting value once the backlog drains, on Drain() and on destruction.
+// After Close() no thread is left to flush, so a write is refused instead
+// of sealing a memtable, and Flush() seals nothing.
+TEST(LsmConcurrencyTest, FlushBacklogGaugeSettlesAndClosedIndexRefusesWrites) {
+  auto backlog = [] {
+    return common::MetricsRegistry::Default().Snapshot().GaugeValue(
+        "lsm_flush_backlog");
+  };
+  const int64_t start = backlog();
+  common::MemGovernor governor(nullptr);
   LsmOptions options;
-  options.memtable_bytes_limit = 1;     // seal on every insert
-  options.max_immutable_memtables = 1;  // force backpressure waits
-  LsmIndex index(options);
-  for (int i = 0; i < 500; ++i) {
-    auto key = EncodeKey(Value::Int64(i)).value();
-    ASSERT_TRUE(index.Insert(key, Value::Int64(i)).ok());
+  options.memtable_bytes_limit = 1;  // seal on every insert
+  options.memtable_pool = governor.RegisterPool("memtable", 1 << 20);
+  options.merge_pool = governor.RegisterPool("merge", 1 << 20);
+  constexpr int kRecords = 200;
+  {
+    LsmIndex index(options);
+    for (int i = 0; i < kRecords; ++i) {
+      auto key = EncodeKey(Value::Int64(i)).value();
+      ASSERT_TRUE(index.Insert(key, Value::Int64(i)).ok());
+    }
+    EXPECT_EQ(index.stats().flushes, kRecords);
+    index.Drain();
+    EXPECT_EQ(backlog(), start);
+    EXPECT_EQ(options.memtable_pool->used(), 0);
+
+    index.Close();
+    const int64_t size = index.Size();
+    const int64_t used = options.memtable_pool->used();
+    const auto late_key = EncodeKey(Value::Int64(kRecords)).value();
+    common::Status late = index.Insert(late_key, Value::Int64(kRecords));
+    EXPECT_EQ(late.code(), common::Status::Code::kFailedPrecondition)
+        << late.ToString();
+    EXPECT_EQ(index.Delete(late_key).code(),
+              common::Status::Code::kFailedPrecondition);
+    EXPECT_EQ(index.Size(), size);
+    EXPECT_EQ(options.memtable_pool->used(), used);
+    EXPECT_EQ(backlog(), start);
+    EXPECT_FALSE(index.Get(late_key).has_value());
   }
-  index.Drain();
-  EXPECT_EQ(index.Size(), 500);
-  // Stall accounting is wired (stalls may round to 0ms on a fast flush
-  // path, so only sanity-check the counter is non-negative).
-  EXPECT_GE(index.stats().insert_stall_ms, 0);
+  {
+    // Destroyed without a Drain(): the destructor drains what is queued.
+    LsmIndex index(options);
+    for (int i = 0; i < kRecords; ++i) {
+      auto key = EncodeKey(Value::Int64(i)).value();
+      ASSERT_TRUE(index.Insert(key, Value::Int64(i)).ok());
+    }
+  }
+  EXPECT_EQ(backlog(), start);
+  EXPECT_EQ(options.memtable_pool->used(), 0);
+  {
+    // A record left in the active memtable at Close() stays there.
+    LsmOptions unsealed = options;
+    unsealed.memtable_bytes_limit = LsmOptions{}.memtable_bytes_limit;
+    LsmIndex index(unsealed);
+    ASSERT_TRUE(index.Insert(EncodeKey(Value::Int64(0)).value(),
+                             Value::Int64(0))
+                    .ok());
+    index.Close();
+    const int64_t used = options.memtable_pool->used();
+    EXPECT_GT(used, 0);
+    index.Flush();
+    EXPECT_EQ(index.run_count(), 0u);
+    EXPECT_EQ(index.Size(), 1);
+    EXPECT_EQ(options.memtable_pool->used(), used);
+    EXPECT_EQ(backlog(), start);
+  }
+  EXPECT_EQ(options.memtable_pool->used(), 0);  // released by the destructor
 }
 
 }  // namespace
